@@ -22,8 +22,8 @@ from .simulate import (
     spearman,
     true_impulse_path,
 )
-from .vanar import Autoencoder, VanarForecaster, encode_features, fit_autoencoder, fit_vanar
-from .var import NaiveForecaster, VarForecaster, compute_aic, fit_var_ols, select_lag_aic
+from .vanar import Autoencoder, VanarForecaster, fit_autoencoder
+from .var import NaiveForecaster, VarForecaster, fit_var_ols, select_lag_aic
 
 __version__ = "0.1.0"
 
@@ -47,12 +47,9 @@ __all__ = [
     "build_lag_design",
     "causality_graph",
     "causality_score",
-    "compute_aic",
     "concat_datasets",
-    "encode_features",
     "fit_autoencoder",
     "fit_var_ols",
-    "fit_vanar",
     "impulse_path",
     "impulse_response",
     "read_csv",

@@ -10,6 +10,7 @@ overfitting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .dataset import Dataset, concat_datasets, split_dataset
@@ -76,6 +77,41 @@ def _test_rmse(model, train: Dataset, test: Dataset, target: str, horizon: int,
     return rmse(pred.column(target)[:horizon], test.column(target)[:horizon])
 
 
+def _horizon(data: Dataset, test_len: int, horizon: int | None) -> int:
+    if test_len >= data.n_obs:
+        raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
+    return test_len if horizon is None else min(horizon, test_len)
+
+
+def _fitter(data: Dataset, model_factory, test_len: int):
+    """``fit(variables, seed) -> (model, train, test)``, fitting each pair once."""
+    train_len = data.n_obs - test_len
+
+    @functools.cache
+    def fit(variables: tuple[str, ...], seed) -> tuple:
+        train, test = split_dataset(data.select(list(variables)), train_len, test_len)
+        return model_factory(list(variables), seed).fit(train), train, test
+
+    return fit
+
+
+def _score(fit, full_vars: tuple[str, ...], source: str, target: str, seeds, horizon: int,
+           one_step: bool) -> CausalityEdge:
+    """Median-seed edge: per seed, the full model's target error against the univariate one's."""
+    scored = []
+    for seed in seeds:
+        full = fit(full_vars, seed)
+        uni = fit((target,), seed)
+        l_full = _test_rmse(*full, target, horizon, one_step)
+        l_uni = _test_rmse(*uni, target, horizon, one_step)
+        if l_uni == 0.0:
+            raise ValueError("degenerate test split: univariate error is zero")
+        scored.append((1.0 - l_full / l_uni, l_full, l_uni))
+    scored.sort(key=lambda s: s[0])
+    score, l_full, l_uni = scored[_median_index(len(scored))]
+    return CausalityEdge(source, target, score, l_full, l_uni)
+
+
 def causality_score(
     data: Dataset,
     cause_vars,
@@ -100,35 +136,11 @@ def causality_score(
         raise ValueError(f"target {target!r} cannot be among the cause variables")
     if not cause_vars:
         raise ValueError("need at least one cause variable")
-    if test_len >= data.n_obs:
-        raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
-    horizon = test_len if horizon is None else min(horizon, test_len)
-
+    horizon = _horizon(data, test_len, horizon)
     # keep the dataset's own column order for reproducible designs
-    full_vars = [n for n in data.names if n in set(cause_vars) | {target}]
-    train_len = data.n_obs - test_len
-
-    full_train, full_test = split_dataset(data.select(full_vars), train_len, test_len)
-    uni_train, uni_test = split_dataset(data.select([target]), train_len, test_len)
-    scored = []
-    for seed in seeds:
-        full_model = model_factory(full_vars, seed).fit(full_train)
-        uni_model = model_factory([target], seed).fit(uni_train)
-        l_full = _test_rmse(full_model, full_train, full_test, target, horizon, one_step)
-        l_uni = _test_rmse(uni_model, uni_train, uni_test, target, horizon, one_step)
-        if l_uni == 0.0:
-            raise ValueError("degenerate test split: univariate error is zero")
-        scored.append((1.0 - l_full / l_uni, l_full, l_uni))
-
-    scored.sort(key=lambda s: s[0])
-    score, l_full, l_uni = scored[_median_index(len(scored))]
-    return CausalityEdge(
-        source="+".join(cause_vars),
-        target=target,
-        score=score,
-        full_rmse=l_full,
-        univariate_rmse=l_uni,
-    )
+    full_vars = tuple(n for n in data.names if n in set(cause_vars) | {target})
+    fit = _fitter(data, model_factory, test_len)
+    return _score(fit, full_vars, "+".join(cause_vars), target, seeds, horizon, one_step)
 
 
 def causality_graph(
@@ -149,38 +161,13 @@ def causality_graph(
     if data.n_vars < 2:
         raise ValueError("causality graph needs at least 2 variables")
     data.index_of(center)
-    horizon = test_len if horizon is None else min(horizon, test_len)
-    if test_len >= data.n_obs:
-        raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
-    train_len = data.n_obs - test_len
-
-    fitted: dict[tuple, object] = {}
-
-    def fit_cached(variables: list[str], seed) -> tuple[object, Dataset, Dataset]:
-        key = (tuple(variables), seed)
-        if key not in fitted:
-            train, test = split_dataset(data.select(variables), train_len, test_len)
-            fitted[key] = (model_factory(variables, seed).fit(train), train, test)
-        return fitted[key]
-
+    horizon = _horizon(data, test_len, horizon)
+    fit = _fitter(data, model_factory, test_len)
     edges = []
     for other in data.names:
         if other == center:
             continue
-        pair = [n for n in data.names if n in (center, other)]
+        pair = tuple(n for n in data.names if n in (center, other))
         for source, target in ((other, center), (center, other)):
-            scored = []
-            for seed in seeds:
-                full_model, full_train, full_test = fit_cached(pair, seed)
-                uni_model, uni_train, uni_test = fit_cached([target], seed)
-                l_full = _test_rmse(full_model, full_train, full_test, target, horizon, one_step)
-                l_uni = _test_rmse(uni_model, uni_train, uni_test, target, horizon, one_step)
-                if l_uni == 0.0:
-                    raise ValueError("degenerate test split: univariate error is zero")
-                scored.append((1.0 - l_full / l_uni, l_full, l_uni))
-            scored.sort(key=lambda s: s[0])
-            score, l_full, l_uni = scored[_median_index(len(scored))]
-            edges.append(
-                CausalityEdge(source, target, score, l_full, l_uni)
-            )
+            edges.append(_score(fit, pair, source, target, seeds, horizon, one_step))
     return CausalityGraph(center=center, edges=edges)

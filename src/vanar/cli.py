@@ -16,10 +16,13 @@ import numpy as np
 
 from .causality import causality_graph
 from .dataset import Dataset, read_csv, write_csv
-from .experiment import ConfigError, TaskError, list_presets, load_config, load_preset, run
+from .experiment import (
+    MODEL_KINDS, ConfigError, TaskError, list_presets, load_config, load_preset, run,
+    write_granger_csv, write_irf_csv,
+)
 from .impulse import impulse_path
-from .simulate import DEFAULT_X0, ScenarioSpec, simulate_scenario
-from .var import VarForecaster, select_lag_aic
+from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
+from .var import VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 
@@ -65,8 +68,7 @@ def _load_model(path: Path):
 
 def _add_simulate(sub):
     p = sub.add_parser("simulate", help="emit a benchmark-system trajectory as CSV")
-    p.add_argument("--scenario", default="default",
-                   choices=("default", "nointeraction", "noise1", "noise2"))
+    p.add_argument("--scenario", default="default", choices=SCENARIO_KINDS)
     p.add_argument("--n", type=int, default=1000, help="steps after the initial state")
     p.add_argument("--seed", type=int, default=0, help="observation-noise seed")
     p.add_argument("--x0", type=float, nargs=2, default=list(DEFAULT_X0),
@@ -164,7 +166,8 @@ def _add_granger(sub):
     p = sub.add_parser("granger", help="directed causality scores around a center variable")
     p.add_argument("--data", required=True, help="CSV with at least 2 variables")
     p.add_argument("--center", default=None, help="center variable (default: first column)")
-    p.add_argument("--model", default="vanar", choices=("var", "vanar"))
+    p.add_argument("--model", default="vanar",
+                   choices=[name for name, kind in MODEL_KINDS.items() if kind.multivariate])
     p.add_argument("--p", type=int, default=None, help="lag order (default: AIC)")
     p.add_argument("--p-max", type=int, default=15)
     p.add_argument("--test-len", type=int, default=20)
@@ -177,23 +180,14 @@ def _add_granger(sub):
         data = read_csv(args.data)
         center = args.center or data.names[0]
         train = data.rows(0, data.n_obs - args.test_len)
-        p_order = args.p or select_lag_aic(train, args.p_max)
-        if args.model == "var":
-            def factory(variables, seed):
-                return VarForecaster(p=p_order)
-            seeds = args.seeds[:1]
-        else:
-            def factory(variables, seed):
-                return VanarForecaster(p=p_order, seed=seed)
-            seeds = args.seeds
+        p_order = args.p or select_lag_aic(train, capped_p_max(args.p_max, train.n_obs))
+        kind, entry = MODEL_KINDS[args.model], {"kind": args.model}
         graph = causality_graph(
-            data, center, factory, seeds=seeds,
+            data, center, lambda variables, seed: kind.build(entry, p_order, seed),
+            seeds=args.seeds if kind.stochastic else args.seeds[:1],
             test_len=args.test_len, one_step=args.one_step,
         )
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write("source,target,score,full_rmse,uni_rmse\n")
-            for e in graph.edges:
-                f.write(f"{e.source},{e.target},{e.score!r},{e.full_rmse!r},{e.univariate_rmse!r}\n")
+        write_granger_csv(graph, args.out)
         causal = [f"{e.source}->{e.target}" for e in graph.positive_edges()]
         print(f"wrote {len(graph.edges)} edges to {args.out}; causal: {', '.join(causal) or 'none'}")
 
@@ -214,18 +208,7 @@ def _add_irf(sub):
         base = read_csv(args.data)
         shocked = impulse_path(model, base, args.shock_var, args.epsilon, args.h)
         unshocked = impulse_path(model, base, args.shock_var, 0.0, args.h)
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            header = []
-            for var in base.names:
-                header += [f"{var}_shocked", f"{var}_unshocked", f"{var}_response"]
-            f.write(",".join(header) + "\n")
-            for t in range(args.h):
-                row = []
-                for j in range(base.n_vars):
-                    s = shocked.path.values[t, j]
-                    u = unshocked.path.values[t, j]
-                    row += [repr(s), repr(u), repr(s - u)]
-                f.write(",".join(row) + "\n")
+        write_irf_csv(base.names, shocked.path.values, unshocked.path.values, args.out)
         print(f"wrote impulse response (shock {args.epsilon} on {args.shock_var}) to {args.out}")
 
     p.set_defaults(func=cmd)

@@ -12,8 +12,11 @@ byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,19 +27,64 @@ from .causality import causality_graph, rolling_one_step
 from .dataset import Dataset, read_csv, split_dataset
 from .impulse import impulse_path
 from .metrics import rmse, rmsse
-from .simulate import DEFAULT_X0, ScenarioSpec, simulate_scenario, true_impulse_path
+from .simulate import (
+    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario, true_impulse_path,
+)
 from .validation import check_positive_int
-from .var import NaiveForecaster, VarForecaster, select_lag_aic
+from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
-MODEL_KINDS = ("var", "ar", "vanar", "ana", "naive", "mlp-baseline")
 TASKS = ("forecast", "granger", "irf", "one-step")
-MULTIVARIATE_KINDS = ("var", "vanar")
 
+_VAR_OPTS = ("p", "det")
 _VANAR_OPTS = (
     "p", "hidden_dims", "embedding_dim", "force_autoencoder", "epochs",
     "batch_size", "learning_rate", "patience", "validation_fraction",
 )
+
+
+def _linear(entry: dict, p: int, seed: int) -> VarForecaster:
+    return VarForecaster(p=entry.get("p", p), det=entry.get("det", "none"))
+
+
+def _neural(entry: dict, p: int, seed: int, **defaults) -> VanarForecaster:
+    opts = {**defaults, **{k: entry[k] for k in _VANAR_OPTS if k in entry}}
+    opts.setdefault("p", p)
+    if "hidden_dims" in opts:
+        opts["hidden_dims"] = tuple(opts["hidden_dims"])
+    return VanarForecaster(seed=seed, **opts)
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What the runner knows about one ``models[].kind``.
+
+    multivariate: fitted on all variables at once, else on each one alone.
+    stochastic: fitted once per run seed, else once.
+    options: the entry keys it accepts besides ``kind`` and ``label``.
+    build: ``(entry, p, seed) -> unfitted estimator``, p the run's lag order.
+    """
+
+    multivariate: bool
+    stochastic: bool
+    options: tuple[str, ...]
+    build: Callable[[dict, int, int], object]
+
+
+MODEL_KINDS = {
+    "var": ModelKind(True, False, _VAR_OPTS, _linear),
+    "ar": ModelKind(False, False, _VAR_OPTS, _linear),
+    "vanar": ModelKind(True, True, _VANAR_OPTS, _neural),
+    "ana": ModelKind(False, True, _VANAR_OPTS, _neural),
+    "naive": ModelKind(False, False, (), lambda entry, p, seed: NaiveForecaster()),
+    "mlp-baseline": ModelKind(
+        False, True, _VANAR_OPTS,
+        functools.partial(_neural, hidden_dims=[256], force_autoencoder=False),
+    ),
+}
+
+# the bundled {kind}-{environment} grid: training rows per environment
+_PRESET_TRAIN_LEN = {"high": 850, "medium": 250, "medium350": 350, "low": 50}
 
 
 class ConfigError(ValueError):
@@ -84,10 +132,18 @@ def validate_config(cfg: dict) -> list[str]:
     if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
         problems.append("'models' must be a list of objects")
         models = []
+    kinds = []
     for i, entry in enumerate(models):
         kind = entry.get("kind")
-        if kind not in MODEL_KINDS:
-            problems.append(f"models[{i}].kind must be one of {MODEL_KINDS}, got {kind!r}")
+        if not isinstance(kind, str) or kind not in MODEL_KINDS:
+            problems.append(f"models[{i}].kind must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
+            continue
+        kinds.append(MODEL_KINDS[kind])
+        allowed = ("kind", "label", *MODEL_KINDS[kind].options)
+        for key in entry:
+            if key not in allowed:
+                problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
+                                f"allowed: {', '.join(allowed)}")
 
     tasks = cfg.get("tasks", [])
     for task in tasks:
@@ -101,8 +157,7 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append(f"'seeds' must be a nonempty list of nonnegative integers, got {seeds!r}")
 
     if "granger" in tasks:
-        kinds = {m.get("kind") for m in models}
-        if not kinds & set(MULTIVARIATE_KINDS):
+        if not any(spec.multivariate for spec in kinds):
             problems.append("granger task needs a 'var' or 'vanar' model entry")
     if "irf" in tasks:
         irf = cfg.get("irf", {})
@@ -141,7 +196,19 @@ def load_config(path) -> dict:
 
 
 def load_preset(name: str) -> dict:
-    """Bundled experiment config by name (see ``list_presets``)."""
+    """Bundled experiment config by name (see ``list_presets``): a generated
+    ``{kind}-{environment}`` grid config, else a JSON file in ``vanar/presets``."""
+    kind, _, env = name.rpartition("-")
+    if kind in SCENARIO_KINDS and env in _PRESET_TRAIN_LEN:
+        return {
+            "system": "system1",
+            "scenario": {"kind": kind, "seed": 0},
+            "environment": {"train_len": _PRESET_TRAIN_LEN[env], "test_len": 20},
+            "models": [{"kind": "vanar"}, {"kind": "ana"}, {"kind": "var"}, {"kind": "ar"}],
+            "tasks": ["forecast", "granger"],
+            "seeds": [0, 1, 2],
+            "p_max": 15,
+        }
     ref = resources.files("vanar.presets").joinpath(f"{name}.json")
     if not ref.is_file():
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
@@ -149,7 +216,7 @@ def load_preset(name: str) -> dict:
 
 
 def list_presets() -> list[str]:
-    names = []
+    names = [f"{kind}-{env}" for kind in SCENARIO_KINDS for env in _PRESET_TRAIN_LEN]
     for entry in resources.files("vanar.presets").iterdir():
         if entry.name.endswith(".json"):
             names.append(entry.name[: -len(".json")])
@@ -172,48 +239,35 @@ def _load_data(cfg: dict) -> Dataset:
 def _resolve_p(cfg: dict, train: Dataset) -> int:
     if cfg.get("p") is not None:
         return check_positive_int(cfg["p"], "p")
-    p_max = cfg.get("p_max", 15)
-    p_max = min(p_max, max(1, (train.n_obs - 1) // 3))
+    p_max = capped_p_max(cfg.get("p_max", 15), train.n_obs)
     return select_lag_aic(train, p_max=p_max, det=cfg.get("det", "none"))
-
-
-def _vanar_params(entry: dict, p: int, seed: int) -> VanarForecaster:
-    opts = {k: entry[k] for k in _VANAR_OPTS if k in entry}
-    opts.setdefault("p", p)
-    if "hidden_dims" in opts:
-        opts["hidden_dims"] = tuple(opts["hidden_dims"])
-    return VanarForecaster(seed=seed, **opts)
-
-
-def _make_model(entry: dict, variables: list[str], p: int, seed: int):
-    kind = entry["kind"]
-    if kind == "var" or kind == "ar":
-        return VarForecaster(p=entry.get("p", p), det=entry.get("det", "none"))
-    if kind == "naive":
-        return NaiveForecaster()
-    if kind == "mlp-baseline":
-        opts = dict(entry)
-        opts.setdefault("hidden_dims", [256])
-        opts.setdefault("force_autoencoder", False)
-        return _vanar_params(opts, p, seed)
-    return _vanar_params(entry, p, seed)
 
 
 def _model_label(entry: dict) -> str:
     return entry.get("label", entry["kind"])
 
 
-def _is_stochastic(kind: str) -> bool:
-    return kind in ("vanar", "ana", "mlp-baseline")
-
-
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path, header: list[str], rows: list[list]) -> None:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def write_granger_csv(graph, path) -> None:
+    """Edge list of a causality graph: one row per directed edge."""
+    rows = [[e.source, e.target, e.score, e.full_rmse, e.univariate_rmse] for e in graph.edges]
+    _write_table(path, ["source", "target", "score", "full_rmse", "uni_rmse"], rows)
+
+
+def write_irf_csv(names, shocked: np.ndarray, unshocked: np.ndarray, path) -> None:
+    """Shocked path, unshocked path and response per variable, one row per step."""
+    header = [f"{var}_{col}" for var in names for col in ("shocked", "unshocked", "response")]
+    table = np.stack([shocked, unshocked, shocked - unshocked], axis=2).reshape(len(shocked), -1)
+    _write_table(path, header, table.tolist())
 
 
 def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
@@ -224,15 +278,14 @@ def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
         v: {} for v in data.names
     }
     for entry in cfg["models"]:
-        kind = entry["kind"]
+        kind = MODEL_KINDS[entry["kind"]]
         label = _model_label(entry)
-        model_seeds = seeds if _is_stochastic(kind) else seeds[:1]
-        univariate = kind in ("ar", "ana", "naive", "mlp-baseline")
+        model_seeds = seeds if kind.stochastic else seeds[:1]
         for var in data.names:
-            fit_train = train.select([var]) if univariate else train
+            fit_train = train if kind.multivariate else train.select([var])
             errs: dict[int, list[float]] = {h: [] for h in horizons}
             for seed in model_seeds:
-                model = _make_model(entry, list(fit_train.names), p, seed).fit(fit_train)
+                model = kind.build(entry, p, seed).fit(fit_train)
                 pred = model.forecast(fit_train, test.n_obs)
                 for h in horizons:
                     errs[h].append(rmse(pred.column(var)[:h], test.column(var)[:h]))
@@ -254,28 +307,20 @@ def _granger_task(cfg, data, p, out_dir) -> list[Path]:
     test_len = gcfg.get("test_len", cfg["environment"]["test_len"])
     paths = []
     for entry in cfg["models"]:
-        kind = entry["kind"]
-        if kind not in MULTIVARIATE_KINDS:
+        kind = MODEL_KINDS[entry["kind"]]
+        if not kind.multivariate:
             continue
-
-        def factory(variables, seed, entry=entry):
-            return _make_model(entry, variables, p, seed)
-
         graph = causality_graph(
             data,
             center,
-            factory,
-            seeds=seeds if _is_stochastic(kind) else seeds[:1],
+            lambda variables, seed: kind.build(entry, p, seed),
+            seeds=seeds if kind.stochastic else seeds[:1],
             test_len=test_len,
             horizon=gcfg.get("horizon"),
             one_step=gcfg.get("one_step", False),
         )
-        rows = [
-            [e.source, e.target, e.score, e.full_rmse, e.univariate_rmse]
-            for e in graph.edges
-        ]
         path = out_dir / f"granger_{_model_label(entry)}.csv"
-        _write_table(path, ["source", "target", "score", "full_rmse", "uni_rmse"], rows)
+        write_granger_csv(graph, path)
         paths.append(path)
     return paths
 
@@ -289,23 +334,15 @@ def _irf_task(cfg, data, train, p, out_dir) -> list[Path]:
     paths = []
 
     def emit(label, shocked_vals, unshocked_vals):
-        header, rows = [], []
-        response = shocked_vals - unshocked_vals
-        for var in data.names:
-            header += [f"{var}_shocked", f"{var}_unshocked", f"{var}_response"]
-        for t in range(horizon):
-            row = []
-            for j in range(len(data.names)):
-                row += [shocked_vals[t, j], unshocked_vals[t, j], response[t, j]]
-            rows.append(row)
         path = out_dir / f"irf_{label}.csv"
-        _write_table(path, header, rows)
+        write_irf_csv(data.names, shocked_vals, unshocked_vals, path)
         paths.append(path)
 
     for entry in cfg["models"]:
-        if entry["kind"] not in MULTIVARIATE_KINDS:
+        kind = MODEL_KINDS[entry["kind"]]
+        if not kind.multivariate:
             continue
-        model = _make_model(entry, list(train.names), p, seed).fit(train)
+        model = kind.build(entry, p, seed).fit(train)
         shocked = impulse_path(model, train, shock_var, epsilon, horizon)
         unshocked = impulse_path(model, train, shock_var, 0.0, horizon)
         emit(_model_label(entry), shocked.path.values, unshocked.path.values)
@@ -327,14 +364,13 @@ def _one_step_task(cfg, data, train, test, p, out_dir) -> list[Path]:
     for var in data.names:
         cells_rmsse, cells_rmse = [], []
         for entry in cfg["models"]:
-            kind = entry["kind"]
-            univariate = kind in ("ar", "ana", "naive", "mlp-baseline")
-            fit_train = train.select([var]) if univariate else train
-            fit_test = test.select([var]) if univariate else test
-            model_seeds = seeds if _is_stochastic(kind) else seeds[:1]
+            kind = MODEL_KINDS[entry["kind"]]
+            fit_train = train if kind.multivariate else train.select([var])
+            fit_test = test if kind.multivariate else test.select([var])
+            model_seeds = seeds if kind.stochastic else seeds[:1]
             scaled, raw = [], []
             for seed in model_seeds:
-                model = _make_model(entry, list(fit_train.names), p, seed).fit(fit_train)
+                model = kind.build(entry, p, seed).fit(fit_train)
                 pred = rolling_one_step(model, fit_train, fit_test)
                 last_train = train.column(var)[-1]
                 scaled.append(rmsse(pred.column(var), test.column(var), last_train))

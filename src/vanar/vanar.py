@@ -22,7 +22,7 @@ from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, build_lag_design, lag_vector
 from .validation import check_fitted, check_positive_int
-from .var import select_lag_aic
+from .var import capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
 
@@ -123,10 +123,6 @@ def fit_autoencoder(design_inputs, embedding_dim: int, cfg: TrainConfig) -> Auto
     return Autoencoder(encoder, decoder, embedding_dim, float(err))
 
 
-def encode_features(ae: Autoencoder, lag_vec) -> np.ndarray:
-    return ae.encode(lag_vec)
-
-
 def _head_seed(base_seed: int, *key: int) -> int:
     """Stable derived seed for one sub-network of one fit."""
     ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(key))
@@ -205,7 +201,7 @@ class VanarForecaster(BaseForecaster):
     def fit(self, data: Dataset) -> "VanarForecaster":
         p = self.p
         if p is None:
-            p = select_lag_aic(data, p_max=min(self.p_max, max(1, (data.n_obs - 1) // 3)))
+            p = select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs))
         p = check_positive_int(p, "p")
         T, N = data.values.shape
         if T <= p + 1:
@@ -232,27 +228,18 @@ class VanarForecaster(BaseForecaster):
         elif emb >= p * N:
             use_ae = False  # no room to compress; skip the comparison
 
-        if use_ae is None:
+        # None fits both head sets and keeps the better one on validation
+        plain = enriched = None
+        if not use_ae:
             plain = self._fit_heads(design.inputs, design.targets, N, ae_tag=0)
+        if use_ae is None or use_ae:
             ae = fit_autoencoder(design.inputs, emb, self._train_config(_head_seed(self.seed, 0)))
-            features = ae.encode(design.inputs)
-            ae_inputs = np.hstack([design.inputs, features])
+            ae_inputs = np.hstack([design.inputs, ae.encode(design.inputs)])
             enriched = self._fit_heads(ae_inputs, design.targets, N, ae_tag=1)
-            # activated wins ties: feature extraction is the preferred form
-            if enriched[2] <= plain[2]:
-                chosen, self.autoencoder_, self.activated_ = enriched, ae, True
-            else:
-                chosen, self.autoencoder_, self.activated_ = plain, None, False
-        elif use_ae:
-            ae = fit_autoencoder(design.inputs, emb, self._train_config(_head_seed(self.seed, 0)))
-            features = ae.encode(design.inputs)
-            ae_inputs = np.hstack([design.inputs, features])
-            chosen = self._fit_heads(ae_inputs, design.targets, N, ae_tag=1)
-            self.autoencoder_, self.activated_ = ae, True
-        else:
-            chosen = self._fit_heads(design.inputs, design.targets, N, ae_tag=0)
-            self.autoencoder_, self.activated_ = None, False
-        self.heads_, self.train_histories_, _ = chosen
+        # activated wins ties: feature extraction is the preferred form
+        self.activated_ = plain is None or (enriched is not None and enriched[2] <= plain[2])
+        self.autoencoder_ = ae if self.activated_ else None
+        self.heads_, self.train_histories_, _ = enriched if self.activated_ else plain
 
         self.p_ = p
         self.names_ = data.names
@@ -342,8 +329,3 @@ class VanarForecaster(BaseForecaster):
         est.heads_ = [Mlp.from_dict(h) for h in doc["heads"]]
         est._check_shapes()
         return est
-
-
-def fit_vanar(train_data: Dataset, p: int | None = None, **opts) -> VanarForecaster:
-    """Convenience wrapper mirroring :func:`vanar.var.fit_var_ols`."""
-    return VanarForecaster(p=p, **opts).fit(train_data)

@@ -214,10 +214,6 @@ def fit_var_ols(data: Dataset, p: int, det: str = "none") -> VarForecaster:
     return VarForecaster(p=p, det=det).fit(data)
 
 
-def compute_aic(model: VarForecaster, data: Dataset) -> float:
-    return model.aic(data)
-
-
 def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     """Smallest-AIC lag order among VAR(1)..VAR(p_max).
 
@@ -257,6 +253,15 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     if best_p is None:
         raise ValueError("lag selection failed for every candidate: " + "; ".join(errors))
     return best_p
+
+
+def capped_p_max(p_max: int, n_obs: int) -> int:
+    """``p_max`` capped at (T-1)//3, so the AIC scan of a short series still runs.
+
+    Estimators, the runner and the CLI apply it when the lag order is left
+    open; ``select_lag_aic`` itself rejects a ``p_max`` that is too large.
+    """
+    return min(p_max, max(1, (n_obs - 1) // 3))
 
 
 class NaiveForecaster(BaseForecaster):

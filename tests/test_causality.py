@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vanar import Dataset, VarForecaster, causality_graph, causality_score
+from vanar import Dataset, VanarForecaster, VarForecaster, causality_graph, causality_score
 from vanar.causality import CausalityEdge
 
 
@@ -108,3 +108,24 @@ class TestGraph:
         graph = causality_graph(d, "b", var_factory, seeds=(0,), test_len=20)
         directions = {(e.source, e.target) for e in graph.edges}
         assert directions == {("a", "b"), ("b", "a"), ("c", "b"), ("b", "c")}
+
+
+def tiny_vanar_factory(variables, seed):
+    return VanarForecaster(p=4, hidden_dims=(4,), epochs=5, seed=seed)
+
+
+class TestGraphMatchesScore:
+    """Each graph edge equals causality_score for the same direction, bit for bit."""
+
+    @pytest.mark.parametrize("factory,seeds", [
+        (var_factory, (0,)),
+        (tiny_vanar_factory, (0, 1, 2)),
+    ])
+    def test_edges_equal_scores(self, factory, seeds):
+        rng = np.random.default_rng(6)
+        d = Dataset(("a", "b", "c"), rng.normal(size=(80, 3)))
+        graph = causality_graph(d, "b", factory, seeds=seeds, test_len=20, horizon=10)
+        assert len(graph.edges) == 4
+        for edge in graph.edges:
+            assert edge == causality_score(d, edge.source, edge.target, factory, seeds=seeds,
+                                           test_len=20, horizon=10)

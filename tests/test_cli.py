@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from vanar import Dataset, read_csv, write_csv
+from vanar import Dataset, VarForecaster, impulse_response, read_csv, write_csv
 from vanar.cli import ingest_csv, main
 from vanar.experiment import ConfigError, list_presets, load_preset, run, validate_config
 
@@ -86,6 +86,14 @@ class TestConfigValidation:
         assert "teleport" in text
         assert "seeds" in text
         assert len(problems) >= 6
+
+    def test_unknown_model_keys_rejected(self):
+        models = [{"kind": "vanar", "hiden_dims": [8]}, {"kind": "var", "det": "constant"},
+                  {"kind": "naive", "label": "last", "p": 3}]
+        problems = validate_config(fast_config(models=models))
+        assert len(problems) == 2
+        assert "models[0]" in problems[0] and "'hiden_dims'" in problems[0]
+        assert "models[2]" in problems[1] and "'p'" in problems[1]
 
     def test_valid_config_has_no_problems(self):
         assert validate_config(fast_config()) == []
@@ -232,6 +240,25 @@ class TestCliProcess:
                    "--test-len", "10", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[0] == "source,target,score,full_rmse,uni_rmse"
+
+    def test_irf_csv_reads_back(self, tmp_path):
+        sim, model, irf = tmp_path / "sim.csv", tmp_path / "var.json", tmp_path / "irf.csv"
+        assert main(["simulate", "--n", "120", "--out", str(sim)]) == 0
+        assert main(["fit-var", "--data", str(sim), "--p", "2", "--out", str(model)]) == 0
+        assert main(["irf", "--model", str(model), "--data", str(sim), "--shock-var", "y",
+                     "--epsilon", "0.1", "--h", "5", "--out", str(irf)]) == 0
+        table = read_csv(irf)
+        fitted = VarForecaster.from_json(model.read_text())
+        expected = impulse_response(fitted, read_csv(sim), "y", 0.1, 5)
+        for var in ("x", "y"):
+            assert table.column(f"{var}_response").tolist() == expected.column(var).tolist()
+
+    def test_granger_short_series(self, tmp_path):
+        # 21 training rows: the default p_max 15 is capped as in `vanar run`
+        sim, out = tmp_path / "sim.csv", tmp_path / "edges.csv"
+        assert main(["simulate", "--n", "40", "--out", str(sim)]) == 0
+        assert main(["granger", "--data", str(sim), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_run_with_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

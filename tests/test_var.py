@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vanar import Dataset, VarForecaster, compute_aic, fit_var_ols, select_lag_aic
+from vanar import Dataset, VarForecaster, fit_var_ols, select_lag_aic
 
 PHI = np.array([[0.5, 0.1], [0.0, 0.3]])
 
@@ -115,7 +115,7 @@ class TestAic:
             S = resid.T @ resid / resid.shape[0]
             k = 4 * m.p
             hand.append(np.log(np.linalg.det(S)) + 2 * k / resid.shape[0])
-        got = [compute_aic(m1, data), compute_aic(m2, data)]
+        got = [m1.aic(data), m2.aic(data)]
         assert (got[0] < got[1]) == (hand[0] < hand[1])
         assert got == pytest.approx(hand, rel=1e-10)
 
