@@ -9,18 +9,18 @@ counterfactual shock paths for benchmarking.
 
 from .causality import CausalityEdge, CausalityGraph, causality_graph, causality_score, rolling_one_step
 from .dataset import Dataset, concat_datasets, read_csv, split_dataset, write_csv
-from .impulse import ImpulseSet, impulse_path, impulse_response, true_impulse_response
+from .impulse import ImpulseSet, impulse_path, impulse_response
 from .metrics import rmse, rmsse
 from .network import AdaGradState, Mlp, TrainConfig, train
 from .preprocessing import LagDesign, StandardScaler, build_lag_design
 from .simulate import (
     LogisticParams,
     ScenarioSpec,
+    TrueSystem,
     add_observation_noise,
     simulate_scenario,
     simulate_system1,
     spearman,
-    true_impulse_path,
 )
 from .vanar import Autoencoder, VanarForecaster, fit_autoencoder
 from .var import NaiveForecaster, VarForecaster, fit_var_ols, select_lag_aic
@@ -41,6 +41,7 @@ __all__ = [
     "ScenarioSpec",
     "StandardScaler",
     "TrainConfig",
+    "TrueSystem",
     "VanarForecaster",
     "VarForecaster",
     "add_observation_noise",
@@ -62,7 +63,5 @@ __all__ = [
     "spearman",
     "split_dataset",
     "train",
-    "true_impulse_path",
-    "true_impulse_response",
     "write_csv",
 ]

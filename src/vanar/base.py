@@ -1,8 +1,10 @@
-"""Estimator base class providing the get_params/set_params protocol."""
+"""Estimator base class: the get_params/set_params protocol and the checks every forecast makes."""
 
 from __future__ import annotations
 
 import inspect
+
+from .validation import check_fitted, check_positive_int
 
 
 class BaseForecaster:
@@ -36,6 +38,16 @@ class BaseForecaster:
                 )
             setattr(self, name, value)
         return self
+
+    def _check_history(self, history, h: int, p: int) -> None:
+        """Preconditions of ``forecast``: fitted, h > 0, and a history with
+        the fitted variables and at least ``p`` rows."""
+        check_fitted(self, "names_")
+        check_positive_int(h, "h")
+        if history.names != self.names_:
+            raise ValueError(f"history variables {history.names} != fitted {self.names_}")
+        if history.n_obs < p:
+            raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
 
     def clone(self) -> "BaseForecaster":
         """Unfitted copy with identical hyperparameters."""

@@ -17,12 +17,11 @@ import numpy as np
 from .causality import causality_graph
 from .dataset import Dataset, read_csv, write_csv
 from .experiment import (
-    MODEL_KINDS, ConfigError, TaskError, list_presets, load_config, load_preset, run,
-    write_granger_csv, write_irf_csv,
+    MODEL_KINDS, ConfigError, TaskError, _write_table, list_presets, load_config, load_preset,
+    run, write_granger_csv, write_irf_csv,
 )
-from .impulse import impulse_path
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
-from .var import VarForecaster, capped_p_max, select_lag_aic
+from .var import DET_OPTIONS, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 
@@ -89,12 +88,12 @@ def _add_fit_var(sub):
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--p", type=int, default=None, help="lag order (default: AIC)")
     p.add_argument("--p-max", type=int, default=15)
-    p.add_argument("--det", default="none", choices=("none", "constant", "constant+trend"))
+    p.add_argument("--det", default="none", choices=DET_OPTIONS)
     p.add_argument("--out", required=True, help="model JSON path")
 
     def cmd(args):
         data = read_csv(args.data)
-        p_order = args.p or select_lag_aic(data, args.p_max, det=args.det)
+        p_order = args.p or select_lag_aic(data, capped_p_max(args.p_max, data.n_obs), det=args.det)
         model = VarForecaster(p=p_order, det=args.det).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         print(f"fit VAR-{p_order} (det={args.det}) on {data.n_obs} rows -> {args.out}")
@@ -134,11 +133,12 @@ def _add_fit_vanar(sub):
         ).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         if args.loss_history:
-            with open(args.loss_history, "w", encoding="utf-8", newline="") as f:
-                f.write("variable,epoch,train_loss,val_loss\n")
-                for name, hist in zip(model.names_, model.train_histories_):
-                    for ep, (tr, vl) in enumerate(zip(hist.train_losses, hist.val_losses), 1):
-                        f.write(f"{name},{ep},{tr!r},{vl!r}\n")
+            rows = [
+                [name, ep, tr, vl]
+                for name, hist in zip(model.names_, model.train_histories_)
+                for ep, (tr, vl) in enumerate(zip(hist.train_losses, hist.val_losses), 1)
+            ]
+            _write_table(args.loss_history, ["variable", "epoch", "train_loss", "val_loss"], rows)
         state = "activated" if model.activated_ else "deactivated"
         print(f"fit VANAR-{model.p_} ({state} autoencoder) on {data.n_obs} rows -> {args.out}")
 
@@ -206,9 +206,7 @@ def _add_irf(sub):
     def cmd(args):
         model = _load_model(args.model)
         base = read_csv(args.data)
-        shocked = impulse_path(model, base, args.shock_var, args.epsilon, args.h)
-        unshocked = impulse_path(model, base, args.shock_var, 0.0, args.h)
-        write_irf_csv(base.names, shocked.path.values, unshocked.path.values, args.out)
+        write_irf_csv(model, base, args.shock_var, args.epsilon, args.h, args.out)
         print(f"wrote impulse response (shock {args.epsilon} on {args.shock_var}) to {args.out}")
 
     p.set_defaults(func=cmd)

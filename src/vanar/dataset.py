@@ -127,6 +127,25 @@ def concat_datasets(first: Dataset, second: Dataset) -> Dataset:
     return Dataset(first.names, np.vstack([first.values, second.values]), freq=first.freq)
 
 
+def _read_header(reader, path) -> tuple[list[str], list[str], int | None]:
+    """The stripped header cells, the variable names among them, and the
+    index of the ``date`` column (None if there is none)."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    date_idx = header.index("date") if "date" in header else None
+    names = [h for i, h in enumerate(header) if i != date_idx]
+    return header, names, date_idx
+
+
+def read_csv_names(path) -> tuple[str, ...]:
+    """Variable names of a CSV file as ``read_csv`` gives them, without reading its rows."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as f:
+        return tuple(_read_header(csv.reader(f), path)[1])
+
+
 def read_csv(path, return_dates: bool = False):
     """Load a Dataset from CSV.
 
@@ -137,17 +156,11 @@ def read_csv(path, return_dates: bool = False):
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header, names, date_idx = _read_header(reader, path)
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty dataset (header only)")
 
-    date_idx = header.index("date") if "date" in header else None
-    names = [h for i, h in enumerate(header) if i != date_idx]
     dates: list[str] = []
     values = np.empty((len(rows), len(names)))
     for r, row in enumerate(rows):

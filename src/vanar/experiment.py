@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import sys
 from collections.abc import Callable
@@ -24,12 +25,10 @@ import numpy as np
 
 from . import __version__
 from .causality import causality_graph, rolling_one_step
-from .dataset import Dataset, read_csv, split_dataset
+from .dataset import Dataset, read_csv, read_csv_names, split_dataset
 from .impulse import impulse_path
 from .metrics import rmse, rmsse
-from .simulate import (
-    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario, true_impulse_path,
-)
+from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario
 from .validation import check_positive_int
 from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
@@ -175,10 +174,8 @@ def validate_config(cfg: dict) -> list[str]:
         names = ("x", "y")
     elif isinstance(system, dict) and "csv" in system and Path(system["csv"]).exists():
         try:
-            with open(system["csv"], "r", encoding="utf-8") as f:
-                header = f.readline().strip().split(",")
-            names = tuple(h for h in header if h and h != "date")
-        except OSError:
+            names = read_csv_names(system["csv"])
+        except (OSError, ValueError):
             names = None
     if names:
         center = cfg.get("granger", {}).get("center")
@@ -263,10 +260,14 @@ def write_granger_csv(graph, path) -> None:
     _write_table(path, ["source", "target", "score", "full_rmse", "uni_rmse"], rows)
 
 
-def write_irf_csv(names, shocked: np.ndarray, unshocked: np.ndarray, path) -> None:
-    """Shocked path, unshocked path and response per variable, one row per step."""
-    header = [f"{var}_{col}" for var in names for col in ("shocked", "unshocked", "response")]
-    table = np.stack([shocked, unshocked, shocked - unshocked], axis=2).reshape(len(shocked), -1)
+def write_irf_csv(model, base: Dataset, shock_var: str, epsilon: float, horizon: int,
+                  path) -> None:
+    """The model's shocked path, unshocked path and response per variable,
+    one row per step after the shock to the last row of ``base``."""
+    shocked = impulse_path(model, base, shock_var, epsilon, horizon).path.values
+    unshocked = impulse_path(model, base, shock_var, 0.0, horizon).path.values
+    header = [f"{var}_{col}" for var in base.names for col in ("shocked", "unshocked", "response")]
+    table = np.stack([shocked, unshocked, shocked - unshocked], axis=2).reshape(horizon, -1)
     _write_table(path, header, table.tolist())
 
 
@@ -331,28 +332,19 @@ def _irf_task(cfg, data, train, p, out_dir) -> list[Path]:
     epsilon = float(icfg.get("epsilon", 0.1))
     horizon = int(icfg.get("horizon", 20))
     seed = cfg.get("seeds", [0])[0]
-    paths = []
-
-    def emit(label, shocked_vals, unshocked_vals):
-        path = out_dir / f"irf_{label}.csv"
-        write_irf_csv(data.names, shocked_vals, unshocked_vals, path)
-        paths.append(path)
-
-    for entry in cfg["models"]:
-        kind = MODEL_KINDS[entry["kind"]]
-        if not kind.multivariate:
-            continue
-        model = kind.build(entry, p, seed).fit(train)
-        shocked = impulse_path(model, train, shock_var, epsilon, horizon)
-        unshocked = impulse_path(model, train, shock_var, 0.0, horizon)
-        emit(_model_label(entry), shocked.path.values, unshocked.path.values)
-
+    # fitted as the loop reaches them, so a failing fit leaves the files before it
+    forecasters = (
+        (_model_label(entry), MODEL_KINDS[entry["kind"]].build(entry, p, seed).fit(train))
+        for entry in cfg["models"] if MODEL_KINDS[entry["kind"]].multivariate
+    )
     if cfg["system"] == "system1":
-        spec = ScenarioSpec(**cfg.get("scenario", {}))
-        params = spec.params()
-        shocked = true_impulse_path(params, train, shock_var, epsilon, horizon)
-        unshocked = true_impulse_path(params, train, shock_var, 0.0, horizon)
-        emit("true", shocked.values, unshocked.values)
+        truth = TrueSystem(ScenarioSpec(**cfg.get("scenario", {})).params())
+        forecasters = itertools.chain(forecasters, [("true", truth)])
+    paths = []
+    for label, model in forecasters:
+        path = out_dir / f"irf_{label}.csv"
+        write_irf_csv(model, train, shock_var, epsilon, horizon, path)
+        paths.append(path)
     return paths
 
 

@@ -1,9 +1,11 @@
 """Model-driven impulse paths and impulse responses.
 
 A shock of size epsilon is added to one variable in the final observed
-row; the fitted model then recursively predicts forward from the shocked
+row; the model then recursively predicts forward from the shocked
 history. The impulse response is the elementwise difference between this
 shocked path and the model's ordinary (unshocked) recursive forecast.
+The model is any forecaster: a fitted one, or ``TrueSystem`` for the
+true response of the benchmark system.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .simulate import true_impulse_path
 from .validation import check_positive_int
 
 
@@ -67,11 +68,3 @@ def impulse_response(model, base: Dataset, shock_var: str, epsilon: float,
     unshocked = impulse_path(model, base, shock_var, 0.0, horizon)
     diff = shocked.path.values - unshocked.path.values
     return Dataset(base.names, diff)
-
-
-def true_impulse_response(params, base: Dataset, shock_var: str, epsilon: float,
-                          horizon: int) -> Dataset:
-    """Ground-truth response when the generating system is known."""
-    shocked = true_impulse_path(params, base, shock_var, epsilon, horizon)
-    unshocked = true_impulse_path(params, base, shock_var, 0.0, horizon)
-    return Dataset(base.names, shocked.values - unshocked.values)

@@ -1,7 +1,8 @@
 """Coupled logistic-map benchmark system.
 
 Generates ground-truth trajectories for a two-variable chaotic system,
-observation-noise scenarios, and true counterfactual shock paths. Because
+observation-noise scenarios, and the system itself as a forecaster
+(``TrueSystem``) whose shocked paths are the true counterfactuals. Because
 the generating dynamics are known, these serve as oracles for causality
 and impulse-response experiments: the system is simulated once, and any
 estimator's claims can be checked against the true continuation.
@@ -22,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .base import BaseForecaster
 from .dataset import Dataset
 from .validation import check_positive_int, check_same_length
 
@@ -124,37 +126,23 @@ def add_observation_noise(data: Dataset, sd: float, seed: int) -> Dataset:
     return data.with_values(data.values + noise)
 
 
-def true_impulse_path(
-    params: LogisticParams,
-    history: Dataset,
-    shock_var: str,
-    epsilon: float,
-    horizon: int,
-) -> Dataset:
-    """Continue the TRUE system after shocking the final observed state.
+class TrueSystem(BaseForecaster):
+    """The noise-free system as a forecaster: its forecast is the true continuation.
 
-    The last row of ``history`` is perturbed by ``epsilon`` on
-    ``shock_var`` and the generating equations are iterated ``horizon``
-    steps from that state. Call again with epsilon = 0 to get the
-    unshocked continuation; the difference of the two paths is the true
-    impulse response.
+    Nothing is estimated, so there is no ``fit`` and the variables are
+    always ("x", "y"). Shocked through ``impulse_path`` like any fitted
+    model, it gives the true shocked trajectory and impulse response.
     """
-    check_positive_int(horizon, "horizon")
-    if history.n_obs < 1:
-        raise ValueError("history must be nonempty")
-    if tuple(history.names) != ("x", "y"):
-        raise ValueError(f"system has variables ('x', 'y'), got {history.names}")
-    j = history.index_of(shock_var)
-    state = history.values[-1].copy()
-    state[j] += epsilon
-    x, y = state
-    out = np.empty((horizon, 2))
-    for t in range(horizon):
-        x, y = _step(params, x, y)
-        if abs(x) > DIVERGENCE_BOUND or abs(y) > DIVERGENCE_BOUND:
-            raise ValueError(f"divergent trajectory at step {t + 1}: ({x:g}, {y:g})")
-        out[t] = (x, y)
-    return Dataset(history.names, out)
+
+    names_ = ("x", "y")
+
+    def __init__(self, params: LogisticParams = LogisticParams()):
+        self.params = params
+
+    def forecast(self, history: Dataset, h: int) -> Dataset:
+        """The h states after the last row of ``history``; ValueError if they diverge."""
+        self._check_history(history, h, 1)
+        return simulate_system1(self.params, x0=history.values[-1], n=h).rows(1, h + 1)
 
 
 def spearman(a, b) -> float:

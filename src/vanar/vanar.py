@@ -281,14 +281,7 @@ class VanarForecaster(BaseForecaster):
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast in original units."""
-        check_fitted(self, "heads_")
-        check_positive_int(h, "h")
-        if history.names != self.names_:
-            raise ValueError(f"history variables {history.names} != fitted {self.names_}")
-        if history.n_obs < self.p_:
-            raise ValueError(
-                f"insufficient history: need {self.p_} rows, got {history.n_obs}"
-            )
+        self._check_history(history, h, self.p_)
         self._check_shapes()
         buf = list(self.scaler_.transform(history.values)[-self.p_ :])
         out = np.empty((h, self.n_vars_))

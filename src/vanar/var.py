@@ -49,6 +49,16 @@ def _solve_ols(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B, Y - X @ B
 
 
+def _aic(resid: np.ndarray, k: int) -> float:
+    """ln det(S) + 2k / T_eff, S the covariance of the T_eff residual rows."""
+    T_eff = resid.shape[0]
+    S = resid.T @ resid / T_eff
+    sign, logdet = np.linalg.slogdet(S)
+    if sign <= 0 or not math.isfinite(logdet):
+        raise ValueError("degenerate residual covariance: det <= 0")
+    return float(logdet + 2.0 * k / T_eff)
+
+
 class VarForecaster(BaseForecaster):
     """VAR(p) / AR(p) estimator with recursive multi-step forecasting.
 
@@ -111,25 +121,12 @@ class VarForecaster(BaseForecaster):
         coefficients (N^2 p plus N per deterministic term).
         """
         check_fitted(self, "phi_")
-        resid = self._residuals(data)
-        T_eff = resid.shape[0]
-        S = resid.T @ resid / T_eff
-        sign, logdet = np.linalg.slogdet(S)
-        if sign <= 0 or not math.isfinite(logdet):
-            raise ValueError("degenerate residual covariance: det <= 0")
         k = self.n_vars_**2 * self.p + self.n_vars_ * _n_det_terms(self.det)
-        return float(logdet + 2.0 * k / T_eff)
+        return _aic(self._residuals(data), k)
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast, feeding predictions back as inputs."""
-        check_fitted(self, "phi_")
-        check_positive_int(h, "h")
-        if history.names != self.names_:
-            raise ValueError(f"history variables {history.names} != fitted {self.names_}")
-        if history.n_obs < self.p:
-            raise ValueError(
-                f"insufficient history: need {self.p} rows, got {history.n_obs}"
-            )
+        self._check_history(history, h, self.p)
         buf = [history.values[i] for i in range(history.n_obs)]
         out = np.empty((h, self.n_vars_))
         for step in range(h):
@@ -228,7 +225,6 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
         raise ValueError(f"p_max = {p_max} too large for T = {T} (need p_max < T/2)")
     n_det = _n_det_terms(det)
     targets = data.values[p_max:]
-    T_eff = targets.shape[0]
     t_index = np.arange(p_max + 1, T + 1)
     D = _det_columns(det, t_index)
 
@@ -239,15 +235,10 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
         design = X if D is None else np.hstack([X, D])
         try:
             _, resid = _solve_ols(design, targets)
-            S = resid.T @ resid / T_eff
-            sign, logdet = np.linalg.slogdet(S)
-            if sign <= 0 or not math.isfinite(logdet):
-                raise ValueError("degenerate residual covariance: det <= 0")
+            aic = _aic(resid, N * N * p + N * n_det)
         except ValueError as exc:
             errors.append(f"p={p}: {exc}")
             continue
-        k = N * N * p + N * n_det
-        aic = logdet + 2.0 * k / T_eff
         if aic < best_aic:
             best_p, best_aic = p, aic
     if best_p is None:
@@ -272,7 +263,5 @@ class NaiveForecaster(BaseForecaster):
         return self
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
-        check_fitted(self, "names_")
-        check_positive_int(h, "h")
-        last = history.values[-1]
-        return Dataset(history.names, np.tile(last, (h, 1)))
+        self._check_history(history, h, 1)
+        return Dataset(self.names_, np.tile(history.values[-1], (h, 1)))

@@ -15,6 +15,7 @@ from vanar import (
     Dataset,
     LogisticParams,
     ScenarioSpec,
+    TrueSystem,
     VanarForecaster,
     VarForecaster,
     fit_var_ols,
@@ -26,7 +27,6 @@ from vanar import (
     simulate_system1,
     spearman,
     split_dataset,
-    true_impulse_response,
 )
 from vanar.experiment import run
 from vanar.metrics import naive_forecast
@@ -305,7 +305,7 @@ def test_criterion_9_impulse_divergence():
     base = data.rows(0, 850)
     eps, horizon, p = 0.1, 20, 5
 
-    r_true = true_impulse_response(LogisticParams(), base, "y", eps, horizon)
+    r_true = impulse_response(TrueSystem(LogisticParams()), base, "y", eps, horizon)
     true_tail = np.abs(r_true.column("x")[10:]).max()
 
     var_model = VarForecaster(p=p).fit(base)

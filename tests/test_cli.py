@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from vanar import Dataset, VarForecaster, impulse_response, read_csv, write_csv
+from vanar import (
+    Dataset, VanarForecaster, VarForecaster, impulse_response, read_csv, write_csv,
+)
 from vanar.cli import ingest_csv, main
 from vanar.experiment import ConfigError, list_presets, load_preset, run, validate_config
 
@@ -97,6 +100,15 @@ class TestConfigValidation:
 
     def test_valid_config_has_no_problems(self):
         assert validate_config(fast_config()) == []
+
+    @pytest.mark.parametrize("header", ["x, y", '"x","y"'])
+    def test_csv_variables_named_as_read_csv_names_them(self, tmp_path, header):
+        src = tmp_path / "data.csv"
+        src.write_text(header + "\n" + "".join(f"{i},{i % 7}\n" for i in range(40)))
+        assert read_csv(src).names == ("x", "y")
+        cfg = fast_config(system={"csv": str(src)}, tasks=["granger", "irf"],
+                          granger={"center": "y"}, irf={"shock_var": "y"})
+        assert validate_config(cfg) == []
 
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -232,6 +244,24 @@ class TestCliProcess:
         doc = json.loads(model.read_text())
         assert doc["model"] == "vanar" and doc["p"] == 2
 
+    def test_fit_vanar_loss_history_reads_back(self, tmp_path):
+        sim, model, losses = tmp_path / "sim.csv", tmp_path / "vanar.json", tmp_path / "loss.csv"
+        main(["simulate", "--n", "150", "--out", str(sim)])
+        assert main(["fit-vanar", "--data", str(sim), "--p", "2", "--hidden", "8", "8",
+                     "--epochs", "5", "--out", str(model), "--loss-history", str(losses)]) == 0
+        with losses.open(newline="") as f:
+            header, *rows = list(csv.reader(f))
+        refit = VanarForecaster(p=2, hidden_dims=(8, 8), epochs=5, seed=0).fit(read_csv(sim))
+        expected = [
+            (name, ep, tr, vl)
+            for name, hist in zip(refit.names_, refit.train_histories_)
+            for ep, (tr, vl) in enumerate(zip(hist.train_losses, hist.val_losses), 1)
+        ]
+        assert header == ["variable", "epoch", "train_loss", "val_loss"]
+        assert [(r[0], int(r[1])) for r in rows] == [e[:2] for e in expected]
+        np.testing.assert_array_equal([[float(r[2]), float(r[3])] for r in rows],
+                                      [e[2:] for e in expected])
+
     def test_granger_cli(self, tmp_path):
         sim = tmp_path / "sim.csv"
         out = tmp_path / "edges.csv"
@@ -252,6 +282,13 @@ class TestCliProcess:
         expected = impulse_response(fitted, read_csv(sim), "y", 0.1, 5)
         for var in ("x", "y"):
             assert table.column(f"{var}_response").tolist() == expected.column(var).tolist()
+
+    def test_fit_var_short_series(self, tmp_path):
+        # 25 rows: the default p_max 15 is capped as in `vanar fit-vanar`
+        sim, model = tmp_path / "sim.csv", tmp_path / "var.json"
+        assert main(["simulate", "--n", "24", "--out", str(sim)]) == 0
+        assert main(["fit-var", "--data", str(sim), "--out", str(model)]) == 0
+        assert 1 <= json.loads(model.read_text())["p"] <= 8
 
     def test_granger_short_series(self, tmp_path):
         # 21 training rows: the default p_max 15 is capped as in `vanar run`

@@ -1,0 +1,99 @@
+"""Property tests of the forecast path: lag ordering, VAR recursion, true continuation."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from vanar import (
+    Dataset, LogisticParams, TrueSystem, VarForecaster, impulse_path, simulate_system1,
+)
+from vanar.preprocessing import lag_matrix, lag_vector
+from vanar.var import DET_OPTIONS
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def series_and_lag(draw):
+    p = draw(st.integers(1, 5))
+    T = draw(st.integers(p + 1, p + 12))
+    N = draw(st.integers(1, 3))
+    return draw(arrays(np.float64, (T, N), elements=finite)), p
+
+
+@settings(deadline=None)
+@given(series_and_lag())
+def test_lag_matrix_rows_are_lag_vectors_of_prefixes(case):
+    values, p = case
+    X = lag_matrix(values, p)
+    assert X.shape == (values.shape[0] - p, p * values.shape[1])
+    for r in range(X.shape[0]):
+        assert np.array_equal(X[r], lag_vector(values[: p + r], p))
+
+
+def _companion(phi):
+    """The (Np, Np) companion matrix of coefficient matrices phi_1..phi_p."""
+    p, N, _ = phi.shape
+    A = np.zeros((N * p, N * p))
+    A[:N] = np.hstack(list(phi))
+    A[N:, : N * (p - 1)] = np.eye(N * (p - 1))
+    return A
+
+
+def _stable_var(rng, p, N, det):
+    """A fitted VAR with random coefficients rescaled to companion spectral radius <= 0.9."""
+    phi = rng.normal(size=(p, N, N))
+    radius = np.abs(np.linalg.eigvals(_companion(phi))).max()
+    if radius > 0.9:
+        # scaling phi_i by c**i scales every companion eigenvalue by c
+        c = 0.9 / radius
+        phi = phi * c ** np.arange(1, p + 1)[:, None, None]
+    doc = {
+        "model": "var", "p": p, "det": det, "names": [f"v{j}" for j in range(N)],
+        "phi": phi.tolist(),
+        "const": (rng.normal(size=N) if det != "none" else np.zeros(N)).tolist(),
+        "trend": (rng.normal(size=N) * 0.1 if det == "constant+trend" else np.zeros(N)).tolist(),
+        "resid_cov": np.eye(N).tolist(), "n_obs": 100,
+    }
+    return VarForecaster.from_json(json.dumps(doc))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(DET_OPTIONS), st.integers(0, 15), st.integers(1, 20))
+def test_var_forecast_matches_companion_iteration(seed, p, N, det, extra, h):
+    # Lütkepohl (2005), section 2.1: Y_t = A Y_{t-1} + (c + d t, 0, ..., 0)
+    rng = np.random.default_rng(seed)
+    model = _stable_var(rng, p, N, det)
+    values = rng.normal(size=(p + extra, N))
+    fc = model.forecast(Dataset(model.names_, values), h)
+
+    A = _companion(model.phi_)
+    state = values[::-1][:p].reshape(-1)  # (y_T, y_{T-1}, ..., y_{T-p+1})
+    expected = np.empty((h, N))
+    for s in range(h):
+        t = values.shape[0] + s + 1
+        state = A @ state
+        state[:N] += model.const_ + model.trend_ * t
+        expected[s] = state[:N]
+    np.testing.assert_allclose(fc.values, expected, rtol=0, atol=1e-10)
+
+
+logistic_rate = st.floats(2.5, 3.8)
+coupling = st.floats(0.0, 0.1)
+start = st.floats(0.01, 0.95)
+
+
+@settings(deadline=None)
+@given(logistic_rate, coupling, logistic_rate, coupling, start, start,
+       st.integers(1, 60), st.integers(1, 30), st.sampled_from(("x", "y")))
+def test_true_system_path_is_the_simulated_continuation(a_x, c_x, a_y, c_y, x0, y0, n, h, var):
+    # with a <= 3.8, c <= 0.1 and a start in (0, 0.95] the states stay in (0, 0.95]
+    params = LogisticParams(a_x, a_x, c_x, a_y, a_y, c_y)
+    full = simulate_system1(params, x0=(x0, y0), n=n - 1 + h)
+    path = impulse_path(TrueSystem(params), full.rows(0, n), var, 0.0, h).path
+    assert path.names == ("x", "y")
+    assert np.array_equal(path.values, full.values[n:])

@@ -4,10 +4,12 @@ import pytest
 from vanar import (
     LogisticParams,
     ScenarioSpec,
+    TrueSystem,
     add_observation_noise,
+    impulse_path,
+    impulse_response,
     simulate_system1,
     spearman,
-    true_impulse_path,
 )
 
 
@@ -103,37 +105,34 @@ class TestTrueImpulse:
         params = LogisticParams()
         full = simulate_system1(params, n=120)
         hist = full.rows(0, 101)
-        path = true_impulse_path(params, hist, "y", 0.0, 20)
+        path = impulse_path(TrueSystem(params), hist, "y", 0.0, 20).path
         assert np.array_equal(path.values, full.values[101:121])
-        response = path.values - true_impulse_path(params, hist, "y", 0.0, 20).values
-        assert np.all(response == 0.0)
+        response = impulse_response(TrueSystem(params), hist, "y", 0.0, 20)
+        assert np.all(response.values == 0.0)
 
     def test_one_step_response_linear_in_shock(self):
         # x's equation is linear in y, so the first-step x response is x_T * (-c_x * eps)
         params = LogisticParams()
         hist = simulate_system1(params, n=849)
         eps = 0.1
-        shocked = true_impulse_path(params, hist, "y", eps, 1)
-        unshocked = true_impulse_path(params, hist, "y", 0.0, 1)
+        response = impulse_response(TrueSystem(params), hist, "y", eps, 1)
         x_T = hist.values[-1, 0]
         expect = x_T * (-params.c_x * eps)
-        got = shocked.values[0, 0] - unshocked.values[0, 0]
+        got = response.values[0, 0]
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_response_diverges_after_ten_steps(self):
         # chaotic amplification: near zero early, large later
         params = LogisticParams()
         hist = simulate_system1(params, n=849)  # 850 rows
-        shocked = true_impulse_path(params, hist, "y", 0.1, 20)
-        unshocked = true_impulse_path(params, hist, "y", 0.0, 20)
-        resp_x = np.abs(shocked.column("x") - unshocked.column("x"))
+        resp_x = np.abs(impulse_response(TrueSystem(params), hist, "y", 0.1, 20).column("x"))
         assert resp_x[:5].max() < 0.05
         assert resp_x[10:].max() > 0.1
 
     def test_unknown_variable(self):
         hist = simulate_system1(n=10)
         with pytest.raises(KeyError):
-            true_impulse_path(LogisticParams(), hist, "z", 0.1, 5)
+            impulse_path(TrueSystem(LogisticParams()), hist, "z", 0.1, 5)
 
 
 class TestSpearman:
