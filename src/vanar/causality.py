@@ -60,11 +60,9 @@ def rolling_one_step(model, history: Dataset, actual: Dataset) -> Dataset:
     Unlike a recursive forecast, each step conditions on the actual
     history up to that point, never on the model's own predictions.
     """
-    preds = []
-    context = history
-    for t in range(actual.n_obs):
-        preds.append(model.forecast(context, 1).values[0])
-        context = concat_datasets(context, actual.rows(t, t + 1))
+    full = concat_datasets(history, actual)
+    preds = [model.forecast(full.rows(0, history.n_obs + t), 1).values[0]
+             for t in range(actual.n_obs)]
     return Dataset(actual.names, preds)
 
 

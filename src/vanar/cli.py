@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .causality import causality_graph
-from .dataset import Dataset, read_csv, write_csv
+from .dataset import read_csv, write_csv, write_table
 from .experiment import (
-    MODEL_KINDS, ConfigError, TaskError, _write_table, list_presets, load_config, load_preset,
+    MODEL_KINDS, ConfigError, TaskError, list_presets, load_config, load_preset,
     run, write_granger_csv, write_irf_csv,
 )
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
@@ -51,7 +51,7 @@ def ingest_csv(path, aggregate: str | None = None, log_columns=(), return_dates:
             if np.any(values[:, j] <= 0):
                 raise ValueError(f"log of non-positive value in column {name!r}")
             values[:, j] = np.log(values[:, j])
-    out = Dataset(data.names, values, freq="quarterly" if aggregate else data.freq)
+    out = data.with_values(values)
     return (out, dates) if return_dates else out
 
 
@@ -138,7 +138,7 @@ def _add_fit_vanar(sub):
                 for name, hist in zip(model.names_, model.train_histories_)
                 for ep, (tr, vl) in enumerate(zip(hist.train_losses, hist.val_losses), 1)
             ]
-            _write_table(args.loss_history, ["variable", "epoch", "train_loss", "val_loss"], rows)
+            write_table(args.loss_history, ["variable", "epoch", "train_loss", "val_loss"], rows)
         state = "activated" if model.activated_ else "deactivated"
         print(f"fit VANAR-{model.p_} ({state} autoencoder) on {data.n_obs} rows -> {args.out}")
 

@@ -9,7 +9,7 @@ experiment runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +28,12 @@ class Dataset:
     values : array-like, shape (T, N)
         Observations; row t holds the state at time step t. NaN and
         infinite entries are rejected at construction.
-    freq : str, optional
-        Unitless frequency label (metadata only).
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    freq: str | None = None
 
-    def __init__(self, names, values, freq: str | None = None):
+    def __init__(self, names, values):
         names = tuple(str(n) for n in names)
         if not names:
             raise ValueError("dataset needs at least one variable")
@@ -53,7 +50,6 @@ class Dataset:
         arr.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "freq", freq)
 
     @property
     def n_obs(self) -> int:
@@ -77,17 +73,17 @@ class Dataset:
         """Dataset restricted to the given variables, in the given order."""
         names = list(names)
         idx = [self.index_of(n) for n in names]
-        return Dataset(names, self.values[:, idx], freq=self.freq)
+        return Dataset(names, self.values[:, idx])
 
     def rows(self, start: int, stop: int) -> "Dataset":
         """Contiguous row slice [start, stop)."""
         if not (0 <= start < stop <= self.n_obs):
             raise ValueError(f"invalid row range [{start}, {stop}) for T={self.n_obs}")
-        return Dataset(self.names, self.values[start:stop], freq=self.freq)
+        return Dataset(self.names, self.values[start:stop])
 
     def with_values(self, values: np.ndarray) -> "Dataset":
-        """New dataset with the same names/freq but different values."""
-        return Dataset(self.names, values, freq=self.freq)
+        """New dataset with the same names but different values."""
+        return Dataset(self.names, values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -99,8 +95,7 @@ class Dataset:
         )
 
     def __repr__(self) -> str:
-        freq = f", freq={self.freq!r}" if self.freq else ""
-        return f"Dataset(names={self.names!r}, n_obs={self.n_obs}{freq})"
+        return f"Dataset(names={self.names!r}, n_obs={self.n_obs})"
 
 
 def split_dataset(data: Dataset, train_len: int, test_len: int) -> tuple[Dataset, Dataset]:
@@ -124,7 +119,7 @@ def concat_datasets(first: Dataset, second: Dataset) -> Dataset:
     """Stack two datasets with identical variables in time order."""
     if first.names != second.names:
         raise ValueError(f"variable mismatch: {first.names} vs {second.names}")
-    return Dataset(first.names, np.vstack([first.values, second.values]), freq=first.freq)
+    return Dataset(first.names, np.vstack([first.values, second.values]))
 
 
 def _read_header(reader, path) -> tuple[list[str], list[str], int | None]:
@@ -186,20 +181,24 @@ def read_csv(path, return_dates: bool = False):
     return data
 
 
-def write_csv(data: Dataset, path, dates=None) -> None:
-    """Write a Dataset as CSV with full float precision (round-trip exact)."""
+def write_table(path, header: list[str], rows: list[list]) -> None:
+    """Write a CSV table; float cells are written with ``repr`` (round-trip exact)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def write_csv(data: Dataset, path, dates=None) -> None:
+    """Write a Dataset as CSV with full float precision (round-trip exact)."""
     header = list(data.names)
+    rows = data.values.tolist()
     if dates is not None:
         if len(dates) != data.n_obs:
             raise ValueError("dates length must match row count")
         header = ["date"] + header
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for r in range(data.n_obs):
-            row = [repr(float(v)) for v in data.values[r]]
-            if dates is not None:
-                row = [dates[r]] + row
-            writer.writerow(row)
+        rows = [[date] + row for date, row in zip(dates, rows)]
+    write_table(path, header, rows)

@@ -11,7 +11,6 @@ byte.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .causality import causality_graph, rolling_one_step
-from .dataset import Dataset, read_csv, read_csv_names, split_dataset
+from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_table
 from .impulse import impulse_path
 from .metrics import rmse, rmsse
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario
@@ -244,20 +243,10 @@ def _model_label(entry: dict) -> str:
     return entry.get("label", entry["kind"])
 
 
-def _write_table(path, header: list[str], rows: list[list]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
 def write_granger_csv(graph, path) -> None:
     """Edge list of a causality graph: one row per directed edge."""
     rows = [[e.source, e.target, e.score, e.full_rmse, e.univariate_rmse] for e in graph.edges]
-    _write_table(path, ["source", "target", "score", "full_rmse", "uni_rmse"], rows)
+    write_table(path, ["source", "target", "score", "full_rmse", "uni_rmse"], rows)
 
 
 def write_irf_csv(model, base: Dataset, shock_var: str, epsilon: float, horizon: int,
@@ -268,7 +257,7 @@ def write_irf_csv(model, base: Dataset, shock_var: str, epsilon: float, horizon:
     unshocked = impulse_path(model, base, shock_var, 0.0, horizon).path.values
     header = [f"{var}_{col}" for var in base.names for col in ("shocked", "unshocked", "response")]
     table = np.stack([shocked, unshocked, shocked - unshocked], axis=2).reshape(horizon, -1)
-    _write_table(path, header, table.tolist())
+    write_table(path, header, table.tolist())
 
 
 def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
@@ -296,7 +285,7 @@ def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
     for var in data.names:
         rows = [[h] + [per_var[var][label][h] for label in labels] for h in horizons]
         path = out_dir / f"forecast_{var}.csv"
-        _write_table(path, ["horizon"] + labels, rows)
+        write_table(path, ["horizon"] + labels, rows)
         paths.append(path)
     return paths
 
@@ -372,7 +361,7 @@ def _one_step_task(cfg, data, train, test, p, out_dir) -> list[Path]:
         rows.append([var, "rmsse"] + cells_rmsse)
         rows.append([var, "rmse"] + cells_rmse)
     path = out_dir / "onestep.csv"
-    _write_table(path, ["variable", "metric"] + labels, rows)
+    write_table(path, ["variable", "metric"] + labels, rows)
     return [path]
 
 

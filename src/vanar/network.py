@@ -129,12 +129,6 @@ class Mlp:
                 delta = delta @ self.weights[i]
         return loss, grad_w + grad_b
 
-    def copy(self) -> "Mlp":
-        net = Mlp(self.layer_dims, self.activations)
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
-        return net
-
     def to_dict(self) -> dict:
         return {
             "layer_dims": self.layer_dims,

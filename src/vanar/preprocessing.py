@@ -69,6 +69,18 @@ def lag_vector(recent: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def recurse(predict, start: np.ndarray, p: int, h: int) -> np.ndarray:
+    """(h, N) rows of a lag-p recursion seeded with the last p rows of ``start``.
+
+    Row k is ``predict(lag_vector(recent, p), k)``, where ``recent`` holds
+    the p rows before it: rows of ``start``, then earlier predictions.
+    """
+    buf = list(start[-p:])
+    for k in range(h):
+        buf.append(predict(lag_vector(np.asarray(buf[-p:]), p), k))
+    return np.array(buf[p:])
+
+
 class StandardScaler:
     """Per-column z-score transform with exact inversion.
 

@@ -20,7 +20,7 @@ import numpy as np
 from .base import BaseForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
-from .preprocessing import StandardScaler, build_lag_design, lag_vector
+from .preprocessing import StandardScaler, build_lag_design, recurse
 from .validation import check_fitted, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
@@ -148,8 +148,8 @@ class VanarForecaster(BaseForecaster):
         one-step error decide (only reachable when p >= 4).
     learning_rate : float
         AdaGrad step size. 1e-4 matches the original recipe at widths in
-        the thousands; narrow desk-scale heads need the larger default to
-        move far enough from initialization (see README).
+        the thousands; the 1e-2 default for narrow desk-scale heads is an
+        empirical choice, not a width-proportional one (see README).
     seed : int
         Master seed; every sub-network trains from a seed derived from it.
 
@@ -283,14 +283,9 @@ class VanarForecaster(BaseForecaster):
         """Recursive h-step forecast in original units."""
         self._check_history(history, h, self.p_)
         self._check_shapes()
-        buf = list(self.scaler_.transform(history.values)[-self.p_ :])
-        out = np.empty((h, self.n_vars_))
-        for step in range(h):
-            recent = np.asarray(buf[-self.p_ :])
-            pred = self._predict_scaled(lag_vector(recent, self.p_))
-            buf.append(pred)
-            out[step] = self.scaler_.inverse_transform(pred)
-        return Dataset(self.names_, out)
+        start = self.scaler_.transform(history.values[-self.p_ :])
+        out = recurse(lambda lags, k: self._predict_scaled(lags), start, self.p_, h)
+        return Dataset(self.names_, self.scaler_.inverse_transform(out))
 
     def to_json(self) -> str:
         check_fitted(self, "heads_")

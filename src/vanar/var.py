@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import BaseForecaster
 from .dataset import Dataset
-from .preprocessing import lag_matrix, lag_vector
+from .preprocessing import lag_matrix, recurse
 from .validation import check_fitted, check_positive_int
 
 DET_OPTIONS = ("none", "constant", "constant+trend")
@@ -81,6 +81,10 @@ class VarForecaster(BaseForecaster):
     resid_cov_ : ndarray, shape (N, N)
         Residual covariance of the fitted sample (divided by the number
         of usable rows).
+    p_ : int
+    det_ : str
+        Lag order and deterministic terms the model was fitted with; the
+        fitted-model methods read these, not ``p`` and ``det``.
     """
 
     def __init__(self, p: int = 1, det: str = "none"):
@@ -111,6 +115,8 @@ class VarForecaster(BaseForecaster):
         self.coef_ = B
         self.resid_cov_ = resid.T @ resid / resid.shape[0]
         self.n_obs_ = T
+        self.p_ = p
+        self.det_ = self.det
         return self
 
     def aic(self, data: Dataset) -> float:
@@ -121,41 +127,34 @@ class VarForecaster(BaseForecaster):
         coefficients (N^2 p plus N per deterministic term).
         """
         check_fitted(self, "phi_")
-        k = self.n_vars_**2 * self.p + self.n_vars_ * _n_det_terms(self.det)
-        return _aic(self._residuals(data), k)
+        return _aic(self._residuals(data), self.coef_.size)
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast, feeding predictions back as inputs."""
-        self._check_history(history, h, self.p)
-        buf = [history.values[i] for i in range(history.n_obs)]
-        out = np.empty((h, self.n_vars_))
-        for step in range(h):
-            recent = np.asarray(buf[-self.p :])
-            x = lag_vector(recent, self.p)
-            pred = x @ self.coef_[: self.n_vars_ * self.p]
-            pred = pred + self.const_ + self.trend_ * (len(buf) + 1)
-            buf.append(pred)
-            out[step] = pred
+        self._check_history(history, h, self.p_)
+        start = history.n_obs + 1
+        out = recurse(lambda lags, k: self._predict(lags, start + k), history.values, self.p_, h)
         return Dataset(self.names_, out)
+
+    def _predict(self, lags: np.ndarray, t) -> np.ndarray:
+        """Prediction from lag vectors (one or a matrix of rows) at 1-based time index ``t``."""
+        return lags @ self.coef_[: self.n_vars_ * self.p_] + self.const_ + self.trend_ * t
 
     def _residuals(self, data: Dataset) -> np.ndarray:
         if data.names != self.names_:
             raise ValueError(f"data variables {data.names} != fitted {self.names_}")
         T = data.n_obs
-        if T <= self.p:
+        if T <= self.p_:
             raise ValueError("insufficient history")
-        X = lag_matrix(data.values, self.p)
-        pred = X @ self.coef_[: self.n_vars_ * self.p]
-        t_index = np.arange(self.p + 1, T + 1)
-        pred = pred + self.const_ + np.outer(t_index, self.trend_)
-        return data.values[self.p :] - pred
+        t_index = np.arange(self.p_ + 1, T + 1)[:, None]
+        return data.values[self.p_ :] - self._predict(lag_matrix(data.values, self.p_), t_index)
 
     def to_json(self) -> str:
         check_fitted(self, "phi_")
         doc = {
             "model": "var",
-            "p": self.p,
-            "det": self.det,
+            "p": self.p_,
+            "det": self.det_,
             "names": list(self.names_),
             "phi": [m.tolist() for m in self.phi_],
             "const": self.const_.tolist(),
@@ -171,6 +170,8 @@ class VarForecaster(BaseForecaster):
         if doc.get("model") != "var":
             raise ValueError(f"not a VAR model document (model={doc.get('model')!r})")
         est = cls(p=doc["p"], det=doc["det"])
+        est.p_ = doc["p"]
+        est.det_ = doc["det"]
         est.names_ = tuple(doc["names"])
         est.n_vars_ = len(est.names_)
         est.phi_ = np.asarray(doc["phi"], dtype=np.float64)
@@ -178,7 +179,7 @@ class VarForecaster(BaseForecaster):
         est.trend_ = np.asarray(doc["trend"], dtype=np.float64)
         est.resid_cov_ = np.asarray(doc["resid_cov"], dtype=np.float64)
         est.n_obs_ = doc["n_obs"]
-        est.coef_ = _stack_coefficients(est.phi_, est.const_, est.trend_, est.det)
+        est.coef_ = _stack_coefficients(est.phi_, est.const_, est.trend_, est.det_)
         return est
 
 

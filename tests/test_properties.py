@@ -1,14 +1,17 @@
-"""Property tests of the forecast path: lag ordering, VAR recursion, true continuation."""
+"""Property tests of the forecast path: lag ordering, VAR recursion, true continuation,
+rolling one-step predictions and JSON round trips."""
 
+import functools
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vanar import (
-    Dataset, LogisticParams, TrueSystem, VarForecaster, impulse_path, simulate_system1,
+    Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
+    concat_datasets, impulse_path, rolling_one_step, simulate_system1,
 )
 from vanar.preprocessing import lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
@@ -97,3 +100,64 @@ def test_true_system_path_is_the_simulated_continuation(a_x, c_x, a_y, c_y, x0, 
     path = impulse_path(TrueSystem(params), full.rows(0, n), var, 0.0, h).path
     assert path.names == ("x", "y")
     assert np.array_equal(path.values, full.values[n:])
+
+
+def _rolling_reference(model, history, actual):
+    """One-step predictions by growing the history one true row at a time."""
+    preds = []
+    context = history
+    for t in range(actual.n_obs):
+        preds.append(model.forecast(context, 1).values[0])
+        context = concat_datasets(context, actual.rows(t, t + 1))
+    return Dataset(actual.names, preds)
+
+
+@functools.cache
+def _tiny_vanar():
+    """A small fitted VANAR with the autoencoder on, and the series it was fitted on."""
+    data = simulate_system1(n=59)
+    model = VanarForecaster(p=4, hidden_dims=(8,), epochs=5, force_autoencoder=True).fit(data)
+    return model, data
+
+
+def _model_and_series(kind, seed, n):
+    """A fitted model of the given kind and an ``n``-row series it can forecast."""
+    rng = np.random.default_rng(seed)
+    if kind == "vanar":
+        model, data = _tiny_vanar()
+        return model, data.rows(0, n)
+    if kind == "true":
+        x0 = rng.uniform(0.05, 0.95, size=2)
+        return TrueSystem(), simulate_system1(x0=x0, n=n - 1)
+    if kind == "naive":
+        data = Dataset(("a", "b"), rng.normal(size=(n, 2)))
+        return NaiveForecaster().fit(data), data
+    det = kind.split(":")[1]
+    model = _stable_var(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), det)
+    return model, Dataset(model.names_, rng.normal(size=(n, model.n_vars_)))
+
+
+KINDS = ("naive", "true", *(f"var:{det}" for det in DET_OPTIONS))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(3, 20), st.integers(1, 12))
+@example("vanar", 0, 30, 12)
+def test_rolling_one_step_equals_growing_history_loop(kind, seed, n_history, n_actual):
+    model, data = _model_and_series(kind, seed, n_history + n_actual)
+    history, actual = data.rows(0, n_history), data.rows(n_history, n_history + n_actual)
+    got = rolling_one_step(model, history, actual)
+    expected = _rolling_reference(model, history, actual)
+    assert got.names == expected.names
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+@settings(deadline=None)
+@given(st.sampled_from(DET_OPTIONS), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 20))
+def test_var_json_round_trip_keeps_forecasts(det, seed, p, N, h):
+    data = Dataset([f"v{j}" for j in range(N)], np.random.default_rng(seed).normal(size=(40, N)))
+    model = VarForecaster(p=p, det=det).fit(data)
+    back = VarForecaster.from_json(model.to_json())
+    assert back.forecast(data, h).values.tobytes() == model.forecast(data, h).values.tobytes()
+    assert back.aic(data) == model.aic(data)

@@ -218,3 +218,17 @@ class TestSerialization:
         clone = m.clone()
         assert clone.get_params() == m.get_params()
         assert not hasattr(clone, "phi_")
+
+
+class TestFittedState:
+    @pytest.mark.parametrize("params", [{"p": 2}, {"p": 5}, {"det": "none"},
+                                        {"det": "constant+trend"}],
+                             ids=["p2", "p5", "det-none", "det-trend"])
+    def test_set_params_after_fit_leaves_fitted_model_unchanged(self, params):
+        data = simulate_var2(150, seed=8)
+        model = fit_var_ols(data, 3, det="constant")
+        fc, aic, doc = model.forecast(data, 5).values, model.aic(data), model.to_json()
+        model.set_params(**params)
+        assert np.array_equal(model.forecast(data, 5).values, fc)
+        assert model.aic(data) == aic
+        assert model.to_json() == doc
