@@ -27,7 +27,9 @@ from .causality import causality_graph, rolling_one_step
 from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_table
 from .impulse import impulse_path
 from .metrics import rmse, rmsse
-from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario
+from .simulate import (
+    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
+)
 from .validation import check_positive_int
 from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
@@ -323,16 +325,20 @@ def _irf_task(cfg, data, train, p, out_dir) -> list[Path]:
     seed = cfg.get("seeds", [0])[0]
     # fitted as the loop reaches them, so a failing fit leaves the files before it
     forecasters = (
-        (_model_label(entry), MODEL_KINDS[entry["kind"]].build(entry, p, seed).fit(train))
+        (_model_label(entry), MODEL_KINDS[entry["kind"]].build(entry, p, seed).fit(train), train)
         for entry in cfg["models"] if MODEL_KINDS[entry["kind"]].multivariate
     )
     if cfg["system"] == "system1":
-        truth = TrueSystem(ScenarioSpec(**cfg.get("scenario", {})).params())
-        forecasters = itertools.chain(forecasters, [("true", truth)])
+        spec = ScenarioSpec(**cfg.get("scenario", {}))
+        # the truth continues the state the system was in, not its noisy observation
+        clean = train if spec.noise_sd == 0 else simulate_system1(
+            spec.params(), x0=tuple(cfg.get("x0", DEFAULT_X0)), n=data.n_obs - 1,
+        ).rows(0, train.n_obs)
+        forecasters = itertools.chain(forecasters, [("true", TrueSystem(spec.params()), clean)])
     paths = []
-    for label, model in forecasters:
+    for label, model, base in forecasters:
         path = out_dir / f"irf_{label}.csv"
-        write_irf_csv(model, train, shock_var, epsilon, horizon, path)
+        write_irf_csv(model, base, shock_var, epsilon, horizon, path)
         paths.append(path)
     return paths
 

@@ -122,7 +122,7 @@ class Mlp:
         delta = 2.0 * diff / m
         for i in range(self.n_layers - 1, -1, -1):
             if self.activations[i] == "relu":
-                delta = delta * (pres[i] > 0)
+                delta *= pres[i] > 0
             grad_w[i] = delta.T @ acts[i]
             grad_b[i] = delta.sum(axis=0)
             if i > 0:
@@ -139,14 +139,29 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mlp":
+        """Network from :meth:`to_dict` output; ValueError unless every weight
+        and bias has the shape ``layer_dims`` gives it."""
         net = cls(d["layer_dims"], d["activations"])
-        net.weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        if len(weights) != net.n_layers or len(biases) != net.n_layers:
+            raise ValueError(f"layer_dims {net.layer_dims} need {net.n_layers} weights and "
+                             f"biases, got {len(weights)} and {len(biases)}")
+        for i, (W, b) in enumerate(zip(weights, biases)):
+            if W.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
+                raise ValueError(f"layer {i} has weight {W.shape} and bias {b.shape}, layer_dims "
+                                 f"give {net.weights[i].shape} and {net.biases[i].shape}")
+        net.weights, net.biases = weights, biases
         return net
 
 
 class AdaGradState:
-    """Per-parameter squared-gradient accumulators for AdaGrad updates."""
+    """Per-parameter squared-gradient accumulators for AdaGrad updates.
+
+    Each parameter also gets two scratch arrays of its shape, so a step
+    allocates nothing: fresh temporaries of a wide layer's size are handed
+    back to the system and faulted in again on every step.
+    """
 
     def __init__(self, params, learning_rate: float, epsilon: float = 1e-8):
         if learning_rate <= 0:
@@ -156,17 +171,24 @@ class AdaGradState:
         self.learning_rate = float(learning_rate)
         self.epsilon = float(epsilon)
         self.accumulators = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params, grads) -> None:
         """One AdaGrad update, in place:
 
-        acc += g**2; p -= lr * g / (sqrt(acc) + eps), elementwise.
+        acc += g**2; p -= lr * g / (sqrt(acc) + eps), elementwise, with
+        the operations in that order.
         """
         if len(params) != len(self.accumulators) or len(grads) != len(self.accumulators):
             raise ValueError("params/grads do not match optimizer state")
-        for p, g, acc in zip(params, grads, self.accumulators):
-            acc += g * g
-            p -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+        for p, g, acc, (u, d) in zip(params, grads, self.accumulators, self._scratch):
+            np.multiply(g, g, out=u)
+            acc += u
+            np.sqrt(acc, out=d)
+            d += self.epsilon
+            np.multiply(self.learning_rate, g, out=u)
+            u /= d
+            p -= u
 
 
 @dataclass(frozen=True)

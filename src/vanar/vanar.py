@@ -38,8 +38,11 @@ class Autoencoder:
 
     def __init__(self, encoder: Mlp, decoder: Mlp, embedding_dim: int,
                  reconstruction_error: float):
-        if encoder.layer_dims[-1] != decoder.layer_dims[0]:
-            raise ValueError("encoder output dim must equal decoder input dim")
+        if not encoder.layer_dims[-1] == embedding_dim == decoder.layer_dims[0]:
+            raise ValueError(
+                f"encoder output {encoder.layer_dims[-1]}, embedding_dim {embedding_dim} and "
+                f"decoder input {decoder.layer_dims[0]} must be equal"
+            )
         self.encoder = encoder
         self.decoder = decoder
         self.embedding_dim = embedding_dim
@@ -315,5 +318,14 @@ class VanarForecaster(BaseForecaster):
             Autoencoder.from_dict(doc["autoencoder"]) if doc["autoencoder"] else None
         )
         est.heads_ = [Mlp.from_dict(h) for h in doc["heads"]]
+        N = est.n_vars_
+        if est.scaler_.mean_.shape != (N,) or est.scaler_.scale_.shape != (N,):
+            raise ValueError(f"scaler mean {est.scaler_.mean_.shape} and scale "
+                             f"{est.scaler_.scale_.shape} do not fit {N} names")
+        if len(est.heads_) != N or any(h.layer_dims[-1] != 1 for h in est.heads_):
+            raise ValueError(f"need one single-output head per name ({N}), got output widths "
+                             f"{[h.layer_dims[-1] for h in est.heads_]}")
+        if est.activated_ and est.autoencoder_ is None:
+            raise ValueError("activated model without an autoencoder")
         est._check_shapes()
         return est

@@ -177,6 +177,12 @@ class VarForecaster(BaseForecaster):
         est.phi_ = np.asarray(doc["phi"], dtype=np.float64)
         est.const_ = np.asarray(doc["const"], dtype=np.float64)
         est.trend_ = np.asarray(doc["trend"], dtype=np.float64)
+        p, N = check_positive_int(est.p_, "p"), est.n_vars_
+        shapes = (est.phi_.shape, est.const_.shape, est.trend_.shape)
+        expected = ((p, N, N), (N,), (N,))
+        if shapes != expected:
+            raise ValueError(f"phi, const and trend have shapes {shapes}; "
+                             f"p={p} and {N} names need {expected}")
         est.resid_cov_ = np.asarray(doc["resid_cov"], dtype=np.float64)
         est.n_obs_ = doc["n_obs"]
         est.coef_ = _stack_coefficients(est.phi_, est.const_, est.trend_, est.det_)

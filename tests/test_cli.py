@@ -186,6 +186,20 @@ class TestRun:
         assert len(var_csv) == 1 + 7
         assert len(true_csv) == 1 + 7
 
+    @pytest.mark.parametrize("kind, seed, train_len", [
+        ("noise1", 3, 50), ("noise1", 4, 250), ("noise1", 13, 350), ("noise2", 3, 50),
+    ])
+    def test_noisy_truth_starts_from_the_clean_state(self, tmp_path, kind, seed, train_len):
+        # noise1's last observation can lie outside [0, 1], from where the map diverges;
+        # the truth continues the clean state, which is the default scenario's trajectory
+        for scenario in (kind, "default"):
+            cfg = fast_config(scenario={"kind": scenario, "seed": seed}, tasks=["irf"], models=[],
+                              environment={"train_len": train_len, "test_len": 20},
+                              irf={"shock_var": "y", "epsilon": 0.1, "horizon": 20})
+            run(cfg, tmp_path / scenario)
+        truth = (tmp_path / kind / "irf_true.csv").read_bytes()
+        assert truth == (tmp_path / "default" / "irf_true.csv").read_bytes()
+
     def test_one_step_task(self, tmp_path):
         cfg = fast_config(tasks=["one-step"], models=[{"kind": "naive"}, {"kind": "var"}])
         run(cfg, tmp_path / "out")

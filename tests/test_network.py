@@ -94,6 +94,30 @@ class TestGradients:
             net.loss_and_gradients([[1.0, 2.0]], [[1.0], [2.0]])
 
 
+class TestFromDict:
+    def _doc(self):
+        return Mlp([3, 4, 1]).initialize(np.random.default_rng(0)).to_dict()
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("weights", 0, np.zeros((3, 4))),   # transposed
+        ("weights", 1, np.zeros((1, 5))),   # wider than its layer
+        ("biases", 0, np.zeros(3)),
+        ("biases", 1, np.zeros(())),
+    ])
+    def test_shape_other_than_layer_dims_rejected(self, field, index, value):
+        doc = self._doc()
+        doc[field][index] = value.tolist()
+        with pytest.raises(ValueError, match="layer_dims give"):
+            Mlp.from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_missing_layer_rejected(self, field):
+        doc = self._doc()
+        doc[field].pop()
+        with pytest.raises(ValueError, match="need 2 weights and biases"):
+            Mlp.from_dict(doc)
+
+
 class TestAdaGrad:
     def test_first_step_magnitude_is_learning_rate(self):
         p = [np.array([0.0])]

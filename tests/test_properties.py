@@ -1,5 +1,5 @@
-"""Property tests of the forecast path: lag ordering, VAR recursion, true continuation,
-rolling one-step predictions and JSON round trips."""
+"""Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
+rolling one-step predictions, JSON round trips), the scaler inversion and the AdaGrad step."""
 
 import functools
 import json
@@ -7,13 +7,14 @@ import json
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from vanar import (
     Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
     concat_datasets, impulse_path, rolling_one_step, simulate_system1,
 )
-from vanar.preprocessing import lag_matrix, lag_vector
+from vanar.network import AdaGradState, Mlp, TrainConfig, train
+from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -161,3 +162,83 @@ def test_var_json_round_trip_keeps_forecasts(det, seed, p, N, h):
     back = VarForecaster.from_json(model.to_json())
     assert back.forecast(data, h).values.tobytes() == model.forecast(data, h).values.tobytes()
     assert back.aic(data) == model.aic(data)
+
+
+@st.composite
+def matrices_with_constant_columns(draw):
+    T = draw(st.integers(1, 12))
+    N = draw(st.integers(1, 4))
+    values = draw(arrays(np.float64, (T, N), elements=finite))
+    for j in range(N):
+        if draw(st.booleans()):
+            values[:, j] = values[0, j]
+    return values
+
+
+@settings(deadline=None)
+@given(matrices_with_constant_columns())
+def test_scaler_inverse_transform_undoes_transform(values):
+    scaler = StandardScaler().fit(values)
+    back = scaler.inverse_transform(scaler.transform(values))
+    # (x - mean) / scale * scale + mean rounds four times, each within an ulp of the column's size
+    assert np.all(np.abs(back - values) <= 4 * np.spacing(np.abs(values).max(axis=0)))
+
+
+def _reference_step(params, accumulators, grads, learning_rate, epsilon):
+    """AdaGrad written out of place, in the order the in-place step must keep."""
+    for p, g, acc in zip(params, grads, accumulators):
+        acc += g * g
+        p -= learning_rate * g / (np.sqrt(acc) + epsilon)
+
+
+def _reference_train(net, X, Y, cfg):
+    """``train`` without a validation split, stepping with :func:`_reference_step`."""
+    rng = np.random.default_rng(cfg.seed)
+    params = net.initialize(rng).parameters()
+    accumulators = [np.zeros_like(p) for p in params]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            take = order[start : start + cfg.batch_size]
+            _, grads = net.loss_and_gradients(X[take], Y[take])
+            _reference_step(params, accumulators, grads, cfg.learning_rate, cfg.epsilon)
+    return params
+
+
+@st.composite
+def adagrad_runs(draw):
+    """Start parameters, 1-20 gradient lists of their shapes, a rate and an epsilon."""
+    shapes = draw(st.lists(array_shapes(max_dims=2, max_side=5), min_size=1, max_size=4))
+    grad = [st.just(np.zeros(s)) | arrays(np.float64, s, elements=finite) for s in shapes]
+    params = [draw(arrays(np.float64, s, elements=finite)) for s in shapes]
+    steps = draw(st.lists(st.tuples(*grad).map(list), min_size=1, max_size=20))
+    return params, steps, draw(st.floats(1e-6, 10.0)), draw(st.sampled_from((0.0, 1e-8)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(adagrad_runs())
+@example("train")
+def test_adagrad_step_is_bit_identical_to_out_of_place_formula(run):
+    if run == "train":
+        X = np.random.default_rng(0).normal(size=(40, 5))
+        Y = np.sin(X.sum(axis=1, keepdims=True))
+        cfg = TrainConfig(epochs=3, batch_size=8, validation_fraction=0.0, seed=4)
+        got = train(Mlp([5, 16, 16, 1]), X, Y, cfg)[0].parameters()
+        expected = _reference_train(Mlp([5, 16, 16, 1]), X, Y, cfg)
+        assert all(_same_bits(a, b) for a, b in zip(got, expected))
+        return
+    params, steps, learning_rate, epsilon = run
+    got = [p.copy() for p in params]
+    opt = AdaGradState(got, learning_rate, epsilon)
+    accumulators = [np.zeros_like(p) for p in params]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for grads in steps:
+            opt.step(got, grads)
+            _reference_step(params, accumulators, grads, learning_rate, epsilon)
+    # bit for bit, so NaNs from 0/0 at epsilon=0 and signed zeros count too
+    assert all(_same_bits(a, b) for a, b in zip(got, params))
+    assert all(_same_bits(a, b) for a, b in zip(opt.accumulators, accumulators))

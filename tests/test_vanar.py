@@ -197,6 +197,24 @@ class TestSerialization:
         fb = back.forecast(data, 6)
         assert np.array_equal(fa.values, fb.values)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["scaler"]["mean"].append(0.0), "scaler mean"),
+        (lambda d: d["scaler"].update(scale=[1.0]), "scaler mean"),
+        (lambda d: d["heads"].pop(), "one single-output head per name"),
+        (lambda d: d["heads"].append(d["heads"][0]), "one single-output head per name"),
+        (lambda d: d.update(autoencoder=None), "without an autoencoder"),
+        (lambda d: d["autoencoder"].update(embedding_dim=d["autoencoder"]["embedding_dim"] + 1),
+         "must be equal"),
+        (lambda d: d["heads"][1]["biases"][0].pop(), "layer_dims give"),
+    ], ids=["scaler-mean", "scaler-scale", "head-missing", "head-extra", "autoencoder-missing",
+            "embedding-dim", "head-bias"])
+    def test_malformed_document_rejected(self, edit, message):
+        model = VanarForecaster(p=4, hidden_dims=(4,), epochs=2, force_autoencoder=True)
+        doc = json.loads(model.fit(chaotic(60)).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            VanarForecaster.from_json(json.dumps(doc))
+
     def test_get_params_roundtrip(self):
         model = VanarForecaster(p=7, hidden_dims=(8,), seed=5)
         params = model.get_params()

@@ -210,6 +210,19 @@ class TestSerialization:
         assert np.array_equal(fc1.values, fc2.values)
         assert np.array_equal(back.resid_cov_, model.resid_cov_)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(p=1),                        # phi holds 2 lags
+        lambda d: d.update(names=["a"]),                # phi is 2 x 2
+        lambda d: d.update(phi=d["phi"][0]),            # one matrix, not a stack
+        lambda d: d.update(trend=d["trend"][:1]),       # would broadcast over both equations
+        lambda d: d.update(const=d["const"] + [0.0]),
+    ], ids=["p", "names", "phi", "trend", "const"])
+    def test_malformed_document_rejected(self, edit):
+        doc = json.loads(fit_var_ols(simulate_var2(150, seed=8), 2, det="constant+trend").to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match="phi, const and trend have shapes"):
+            VarForecaster.from_json(json.dumps(doc))
+
     def test_get_params(self):
         m = VarForecaster(p=3, det="constant")
         assert m.get_params() == {"p": 3, "det": "constant"}
