@@ -221,13 +221,19 @@ def list_presets() -> list[str]:
     return sorted(names)
 
 
-def _load_data(cfg: dict) -> Dataset:
+def _system1_recipe(cfg: dict) -> tuple[ScenarioSpec, tuple, int]:
+    """Scenario, start state and step count that generate a system1 config's series."""
     env = cfg["environment"]
     total = env["train_len"] + env["test_len"]
+    return ScenarioSpec(**cfg.get("scenario", {})), tuple(cfg.get("x0", DEFAULT_X0)), total - 1
+
+
+def _load_data(cfg: dict) -> Dataset:
     if cfg["system"] == "system1":
-        spec = ScenarioSpec(**cfg.get("scenario", {}))
-        x0 = tuple(cfg.get("x0", DEFAULT_X0))
-        return simulate_scenario(spec, n=total - 1, x0=x0)
+        spec, x0, n = _system1_recipe(cfg)
+        return simulate_scenario(spec, n=n, x0=x0)
+    env = cfg["environment"]
+    total = env["train_len"] + env["test_len"]
     data = read_csv(cfg["system"]["csv"])
     if data.n_obs < total:
         raise ValueError(f"csv has {data.n_obs} rows, need train+test = {total}")
@@ -329,11 +335,10 @@ def _irf_task(cfg, data, train, p, out_dir) -> list[Path]:
         for entry in cfg["models"] if MODEL_KINDS[entry["kind"]].multivariate
     )
     if cfg["system"] == "system1":
-        spec = ScenarioSpec(**cfg.get("scenario", {}))
-        # the truth continues the state the system was in, not its noisy observation
-        clean = train if spec.noise_sd == 0 else simulate_system1(
-            spec.params(), x0=tuple(cfg.get("x0", DEFAULT_X0)), n=data.n_obs - 1,
-        ).rows(0, train.n_obs)
+        # the truth continues the state the system was in, not its noisy observation:
+        # the data's trajectory before simulate_scenario adds the noise
+        spec, x0, n = _system1_recipe(cfg)
+        clean = simulate_system1(spec.params(), x0=x0, n=n).rows(0, train.n_obs)
         forecasters = itertools.chain(forecasters, [("true", TrueSystem(spec.params()), clean)])
     paths = []
     for label, model, base in forecasters:

@@ -221,16 +221,7 @@ def _same_bits(a, b):
 
 @settings(deadline=None)
 @given(adagrad_runs())
-@example("train")
 def test_adagrad_step_is_bit_identical_to_out_of_place_formula(run):
-    if run == "train":
-        X = np.random.default_rng(0).normal(size=(40, 5))
-        Y = np.sin(X.sum(axis=1, keepdims=True))
-        cfg = TrainConfig(epochs=3, batch_size=8, validation_fraction=0.0, seed=4)
-        got = train(Mlp([5, 16, 16, 1]), X, Y, cfg)[0].parameters()
-        expected = _reference_train(Mlp([5, 16, 16, 1]), X, Y, cfg)
-        assert all(_same_bits(a, b) for a, b in zip(got, expected))
-        return
     params, steps, learning_rate, epsilon = run
     got = [p.copy() for p in params]
     opt = AdaGradState(got, learning_rate, epsilon)
@@ -242,3 +233,12 @@ def test_adagrad_step_is_bit_identical_to_out_of_place_formula(run):
     # bit for bit, so NaNs from 0/0 at epsilon=0 and signed zeros count too
     assert all(_same_bits(a, b) for a, b in zip(got, params))
     assert all(_same_bits(a, b) for a, b in zip(opt.accumulators, accumulators))
+
+
+def test_train_matches_reference_adagrad_loop():
+    X = np.random.default_rng(0).normal(size=(40, 5))
+    Y = np.sin(X.sum(axis=1, keepdims=True))
+    cfg = TrainConfig(epochs=3, batch_size=8, validation_fraction=0.0, seed=4)
+    got = train(Mlp([5, 16, 16, 1]), X, Y, cfg)[0].parameters()
+    expected = _reference_train(Mlp([5, 16, 16, 1]), X, Y, cfg)
+    assert all(_same_bits(a, b) for a, b in zip(got, expected))
