@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 
+from .dataset import Dataset, concat_datasets
 from .validation import check_fitted, check_positive_int
 
 
@@ -48,6 +49,15 @@ class BaseForecaster:
             raise ValueError(f"history variables {history.names} != fitted {self.names_}")
         if history.n_obs < p:
             raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
+
+    def _one_step(self, history, actual) -> Dataset:
+        """Row t of ``actual`` predicted from ``history`` and the rows of
+        ``actual`` before it: one ``forecast(prefix, 1)`` per row. Lag models
+        override this with one pass over a lag buffer."""
+        full = concat_datasets(history, actual)
+        preds = [self.forecast(full.rows(0, history.n_obs + t), 1).values[0]
+                 for t in range(actual.n_obs)]
+        return Dataset(actual.names, preds)
 
     def clone(self) -> "BaseForecaster":
         """Unfitted copy with identical hyperparameters."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .dataset import Dataset, concat_datasets, split_dataset
+from .dataset import Dataset, split_dataset
 from .metrics import rmse
 
 
@@ -60,10 +60,9 @@ def rolling_one_step(model, history: Dataset, actual: Dataset) -> Dataset:
     Unlike a recursive forecast, each step conditions on the actual
     history up to that point, never on the model's own predictions.
     """
-    full = concat_datasets(history, actual)
-    preds = [model.forecast(full.rows(0, history.n_obs + t), 1).values[0]
-             for t in range(actual.n_obs)]
-    return Dataset(actual.names, preds)
+    if history.names != actual.names:
+        raise ValueError(f"variable mismatch: {history.names} vs {actual.names}")
+    return model._one_step(history, actual)
 
 
 def _test_rmse(model, train: Dataset, test: Dataset, target: str, horizon: int,

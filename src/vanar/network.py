@@ -79,9 +79,11 @@ class Mlp:
                 f"input has {h.shape[1]} features, network expects {self.layer_dims[0]}"
             )
         for W, b, act in zip(self.weights, self.biases, self.activations):
-            h = h @ W.T + b
+            # bias and relu in place on the fresh product: no temporaries per layer
+            h = h @ W.T
+            h += b
             if act == "relu":
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         return h[0] if single else h
 
     def loss_and_gradients(self, inputs, targets):

@@ -58,27 +58,33 @@ def lag_vector(recent: np.ndarray, p: int) -> np.ndarray:
     """Lag vector for the next time step, from the last >= p rows of history.
 
     Ordering matches :func:`lag_matrix`: variable-major, most recent first.
+    The result is a fresh C-contiguous array, never a view of ``recent``.
     """
     T, N = recent.shape
     if T < p:
         raise ValueError(f"insufficient history: need at least {p} rows, got {T}")
-    out = np.empty(p * N)
-    for j in range(N):
-        for lag in range(1, p + 1):
-            out[j * p + (lag - 1)] = recent[T - lag, j]
-    return out
+    return recent[T - p :][::-1].T.flatten()
 
 
-def recurse(predict, start: np.ndarray, p: int, h: int) -> np.ndarray:
+def recurse(predict, start: np.ndarray, p: int, h: int, actual: np.ndarray | None = None
+            ) -> np.ndarray:
     """(h, N) rows of a lag-p recursion seeded with the last p rows of ``start``.
 
     Row k is ``predict(lag_vector(recent, p), k)``, where ``recent`` holds
-    the p rows before it: rows of ``start``, then earlier predictions.
+    the p rows before it: rows of ``start``, then earlier predictions, or,
+    when the (h, N) block ``actual`` is given, its true rows instead, which
+    makes every row a one-step-ahead prediction.
     """
-    buf = list(start[-p:])
+    buf = np.empty((p + h, start.shape[1]))
+    buf[:p] = start[-p:]
+    if actual is not None:
+        buf[p:] = actual
+    out = np.empty((h, start.shape[1]))
     for k in range(h):
-        buf.append(predict(lag_vector(np.asarray(buf[-p:]), p), k))
-    return np.array(buf[p:])
+        out[k] = predict(lag_vector(buf[k : p + k], p), k)
+        if actual is None:
+            buf[p + k] = out[k]
+    return out
 
 
 class StandardScaler:
@@ -99,9 +105,11 @@ class StandardScaler:
 
     def fit(self, values) -> "StandardScaler":
         arr = check_matrix(values)
-        self.mean_ = arr.mean(axis=0)
+        # the mean of equal values can round to a neighbour of them; pin it to the value
+        constant = (arr == arr[0]).all(axis=0)
+        self.mean_ = np.where(constant, arr[0], arr.mean(axis=0))
         sd = arr.std(axis=0)
-        self.scale_ = np.where(sd == 0.0, 1.0, sd)
+        self.scale_ = np.where(constant | (sd == 0.0), 1.0, sd)
         return self
 
     def transform(self, values) -> np.ndarray:

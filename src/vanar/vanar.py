@@ -284,10 +284,19 @@ class VanarForecaster(BaseForecaster):
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast in original units."""
+        return self._path(history, h)
+
+    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
+        return self._path(history, actual.n_obs, actual)
+
+    def _path(self, history: Dataset, h: int, actual: Dataset | None = None) -> Dataset:
+        """The h rows after ``history`` in original units, predicted from earlier
+        predictions, or from the true rows of ``actual`` when it is given."""
         self._check_history(history, h, self.p_)
         self._check_shapes()
         start = self.scaler_.transform(history.values[-self.p_ :])
-        out = recurse(lambda lags, k: self._predict_scaled(lags), start, self.p_, h)
+        truth = None if actual is None else self.scaler_.transform(actual.values)
+        out = recurse(lambda lags, k: self._predict_scaled(lags), start, self.p_, h, truth)
         return Dataset(self.names_, self.scaler_.inverse_transform(out))
 
     def to_json(self) -> str:

@@ -131,9 +131,19 @@ class VarForecaster(BaseForecaster):
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast, feeding predictions back as inputs."""
+        return self._path(history, h)
+
+    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
+        return self._path(history, actual.n_obs, actual)
+
+    def _path(self, history: Dataset, h: int, actual: Dataset | None = None) -> Dataset:
+        """The h rows after ``history``, each predicted from earlier predictions,
+        or from the true rows of ``actual`` when it is given (see ``recurse``)."""
         self._check_history(history, h, self.p_)
         start = history.n_obs + 1
-        out = recurse(lambda lags, k: self._predict(lags, start + k), history.values, self.p_, h)
+        truth = None if actual is None else actual.values
+        out = recurse(lambda lags, k: self._predict(lags, start + k), history.values, self.p_, h,
+                      truth)
         return Dataset(self.names_, out)
 
     def _predict(self, lags: np.ndarray, t) -> np.ndarray:

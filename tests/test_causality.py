@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from vanar import Dataset, VanarForecaster, VarForecaster, causality_graph, causality_score
+from vanar import (
+    Dataset, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster, causality_graph,
+    causality_score, rolling_one_step,
+)
 from vanar.causality import CausalityEdge
 
 
@@ -129,3 +132,18 @@ class TestGraphMatchesScore:
         for edge in graph.edges:
             assert edge == causality_score(d, edge.source, edge.target, factory, seeds=seeds,
                                            test_len=20, horizon=10)
+
+
+class TestRollingOneStep:
+    @pytest.mark.parametrize("kind", ["var", "vanar", "naive", "true"])
+    def test_actual_over_other_variables_rejected(self, kind):
+        history = planted(40, seed=2)
+        models = {
+            "var": lambda: VarForecaster(p=2).fit(history),
+            "vanar": lambda: VanarForecaster(p=2, hidden_dims=(4,), epochs=2).fit(history),
+            "naive": lambda: NaiveForecaster().fit(history),
+            "true": lambda: TrueSystem(),
+        }
+        actual = Dataset(("x", "z"), history.values[-5:])
+        with pytest.raises(ValueError, match="variable mismatch"):
+            rolling_one_step(models[kind](), history, actual)

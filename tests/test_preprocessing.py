@@ -21,6 +21,15 @@ def test_constant_column_scale_one():
     assert np.all(sc.inverse_transform(scaled) == 7.0)
 
 
+def test_constant_column_with_inexact_mean_maps_to_zero():
+    # the mean of these seven equal values rounds to a neighbour of them, and their std to 5.7e-14
+    col = np.full((7, 1), -356.88873089866854)
+    sc = StandardScaler().fit(col)
+    assert sc.mean_[0] == col[0, 0]
+    assert sc.scale_[0] == 1.0
+    assert np.all(sc.transform(col) == 0.0)
+
+
 def test_roundtrip_within_1e12_relative():
     rng = np.random.default_rng(11)
     for trial in range(20):

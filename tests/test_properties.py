@@ -38,6 +38,29 @@ def test_lag_matrix_rows_are_lag_vectors_of_prefixes(case):
         assert np.array_equal(X[r], lag_vector(values[: p + r], p))
 
 
+@st.composite
+def history_and_lag(draw):
+    """A (T + 1, N) series with T >= p, possibly a strided view of a wider array, and p."""
+    p = draw(st.integers(1, 6))
+    T = draw(st.integers(p, p + 12))
+    N = draw(st.integers(1, 3))
+    extra = draw(st.integers(0, 2))
+    wide = draw(arrays(np.float64, (T + 1, N + extra), elements=finite))
+    return wide[:, extra:], p
+
+
+@settings(deadline=None)
+@given(history_and_lag())
+def test_lag_vector_is_a_fresh_contiguous_lag_matrix_row(case):
+    values, p = case
+    recent = values[:-1]
+    got = lag_vector(recent, p)
+    assert got.tobytes() == lag_matrix(values, p)[-1].tobytes()
+    # a strided view would send a one-variable lag vector through another matmul path
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, recent)
+
+
 def _companion(phi):
     """The (Np, Np) companion matrix of coefficient matrices phi_1..phi_p."""
     p, N, _ = phi.shape
@@ -182,6 +205,13 @@ def test_scaler_inverse_transform_undoes_transform(values):
     back = scaler.inverse_transform(scaler.transform(values))
     # (x - mean) / scale * scale + mean rounds four times, each within an ulp of the column's size
     assert np.all(np.abs(back - values) <= 4 * np.spacing(np.abs(values).max(axis=0)))
+
+
+@settings(deadline=None)
+@given(matrices_with_constant_columns())
+def test_scaler_maps_constant_columns_to_zero(values):
+    constant = (values == values[0]).all(axis=0)
+    assert np.all(StandardScaler().fit(values).transform(values)[:, constant] == 0.0)
 
 
 def _reference_step(params, accumulators, grads, learning_rate, epsilon):
