@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import inspect
 
-from .dataset import Dataset, concat_datasets
+import numpy as np
+
+from .dataset import Dataset
 from .validation import check_fitted, check_positive_int
 
 
@@ -50,13 +52,18 @@ class BaseForecaster:
         if history.n_obs < p:
             raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
 
-    def _one_step(self, history, actual) -> Dataset:
-        """Row t of ``actual`` predicted from ``history`` and the rows of
-        ``actual`` before it: one ``forecast(prefix, 1)`` per row. Lag models
-        override this with one pass over a lag buffer."""
-        full = concat_datasets(history, actual)
-        preds = [self.forecast(full.rows(0, history.n_obs + t), 1).values[0]
-                 for t in range(actual.n_obs)]
+    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
+        """``forecast(history, h)`` for each history. Lag models override this
+        with one recursion over all of them."""
+        return [self.forecast(history, h) for history in histories]
+
+    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
+        """Row t of ``actual`` predicted by ``forecast(row, 1)`` from the one row
+        before it, for forecasters whose ``forecast`` reads only the last row of
+        its history (``NaiveForecaster``, ``TrueSystem``). Lag models override
+        this with one pass over a lag matrix."""
+        before = Dataset(actual.names, np.vstack([history.values[-1:], actual.values[:-1]]))
+        preds = [self.forecast(before.rows(t, t + 1), 1).values[0] for t in range(actual.n_obs)]
         return Dataset(actual.names, preds)
 
     def clone(self) -> "BaseForecaster":

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .causality import causality_graph, rolling_one_step
 from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_table
-from .impulse import impulse_path
+from .impulse import _shocked_and_unshocked
 from .metrics import rmse, rmsse
 from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
@@ -261,8 +261,7 @@ def write_irf_csv(model, base: Dataset, shock_var: str, epsilon: float, horizon:
                   path) -> None:
     """The model's shocked path, unshocked path and response per variable,
     one row per step after the shock to the last row of ``base``."""
-    shocked = impulse_path(model, base, shock_var, epsilon, horizon).path.values
-    unshocked = impulse_path(model, base, shock_var, 0.0, horizon).path.values
+    shocked, unshocked = _shocked_and_unshocked(model, base, shock_var, epsilon, horizon)
     header = [f"{var}_{col}" for var in base.names for col in ("shocked", "unshocked", "response")]
     table = np.stack([shocked, unshocked, shocked - unshocked], axis=2).reshape(horizon, -1)
     write_table(path, header, table.tolist())

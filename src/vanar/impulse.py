@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Dataset
 from .validation import check_positive_int
 
@@ -64,7 +66,15 @@ def impulse_path(model, base: Dataset, shock_var: str, epsilon: float,
 def impulse_response(model, base: Dataset, shock_var: str, epsilon: float,
                      horizon: int) -> Dataset:
     """Shocked-minus-unshocked predicted paths, per variable and step."""
-    shocked = impulse_path(model, base, shock_var, epsilon, horizon)
-    unshocked = impulse_path(model, base, shock_var, 0.0, horizon)
-    diff = shocked.path.values - unshocked.path.values
-    return Dataset(base.names, diff)
+    shocked, unshocked = _shocked_and_unshocked(model, base, shock_var, epsilon, horizon)
+    return Dataset(base.names, shocked - unshocked)
+
+
+def _shocked_and_unshocked(model, base: Dataset, shock_var: str, epsilon: float,
+                           horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``impulse_path(model, base, shock_var, e, horizon).path`` for
+    e = epsilon and e = 0, from one model call that forecasts both histories."""
+    check_positive_int(horizon, "horizon")
+    histories = [shocked_history(base, shock_var, e) for e in (epsilon, 0.0)]
+    shocked, unshocked = model._forecast_many(histories, horizon)
+    return shocked.values, unshocked.values

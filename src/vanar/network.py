@@ -70,13 +70,21 @@ class Mlp:
         self.biases = [np.array(p, dtype=np.float64) for p in params[n:]]
 
     def forward(self, x) -> np.ndarray:
-        """Network output for a single input vector or a (batch, d) matrix."""
+        """Network output for a single input vector, a (batch, d) matrix or a
+        (batch, 1, d) stack of rows.
+
+        Each row of a (batch, 1, d) stack goes through the same BLAS
+        matrix-vector product that a lone row gets, so its output is bit for
+        bit the lone-row output. A (batch, d) matrix goes through a
+        matrix-matrix product, whose blocking sums in another order, so its
+        rows can differ from lone rows in the last bits.
+        """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x.reshape(1, -1) if single else x
-        if h.shape[1] != self.layer_dims[0]:
+        if h.shape[-1] != self.layer_dims[0]:
             raise ValueError(
-                f"input has {h.shape[1]} features, network expects {self.layer_dims[0]}"
+                f"input has {h.shape[-1]} features, network expects {self.layer_dims[0]}"
             )
         for W, b, act in zip(self.weights, self.biases, self.activations):
             # bias and relu in place on the fresh product: no temporaries per layer

@@ -57,34 +57,32 @@ def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
 def lag_vector(recent: np.ndarray, p: int) -> np.ndarray:
     """Lag vector for the next time step, from the last >= p rows of history.
 
-    Ordering matches :func:`lag_matrix`: variable-major, most recent first.
-    The result is a fresh C-contiguous array, never a view of ``recent``.
+    ``recent`` is one (T, N) history, or a (B, T, N) stack of them for a
+    (B, p*N) result. Ordering matches :func:`lag_matrix`: variable-major,
+    most recent first. The result is a fresh C-contiguous array, never a
+    view of ``recent``.
     """
-    T, N = recent.shape
+    T, N = recent.shape[-2:]
     if T < p:
         raise ValueError(f"insufficient history: need at least {p} rows, got {T}")
-    return recent[T - p :][::-1].T.flatten()
+    lags = recent[..., T - p :, :][..., ::-1, :].swapaxes(-1, -2).copy()
+    return lags.reshape(recent.shape[:-2] + (N * p,))
 
 
-def recurse(predict, start: np.ndarray, p: int, h: int, actual: np.ndarray | None = None
-            ) -> np.ndarray:
-    """(h, N) rows of a lag-p recursion seeded with the last p rows of ``start``.
+def recurse(predict, starts: np.ndarray, p: int, h: int) -> np.ndarray:
+    """(B, h, N) rows of B lag-p recursions run side by side, each seeded with
+    the last p rows of its history in the (B, >= p, N) stack ``starts``.
 
-    Row k is ``predict(lag_vector(recent, p), k)``, where ``recent`` holds
-    the p rows before it: rows of ``start``, then earlier predictions, or,
-    when the (h, N) block ``actual`` is given, its true rows instead, which
-    makes every row a one-step-ahead prediction.
+    Step k calls ``predict(lags, k)`` once with the (B, 1, p*N) stack of the
+    B lag vectors of the p rows before it (rows of the start, then earlier
+    predictions); its (B, 1, N) predictions are written back as the next rows.
     """
-    buf = np.empty((p + h, start.shape[1]))
-    buf[:p] = start[-p:]
-    if actual is not None:
-        buf[p:] = actual
-    out = np.empty((h, start.shape[1]))
+    B, _, N = starts.shape
+    buf = np.empty((B, p + h, N))
+    buf[:, :p] = starts[:, -p:]
     for k in range(h):
-        out[k] = predict(lag_vector(buf[k : p + k], p), k)
-        if actual is None:
-            buf[p + k] = out[k]
-    return out
+        buf[:, p + k] = predict(lag_vector(buf[:, k : p + k], p)[:, None], k)[:, 0]
+    return buf[:, p:]
 
 
 class StandardScaler:

@@ -20,7 +20,7 @@ import numpy as np
 from .base import BaseForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
-from .preprocessing import StandardScaler, build_lag_design, recurse
+from .preprocessing import StandardScaler, build_lag_design, lag_matrix, recurse
 from .validation import check_fitted, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
@@ -276,27 +276,36 @@ class VanarForecaster(BaseForecaster):
                     f"head {j} expects {head.layer_dims[0]} inputs, invariant says {expect}"
                 )
 
-    def _predict_scaled(self, lag_vec: np.ndarray) -> np.ndarray:
-        x = lag_vec
+    def _predict_scaled(self, lags: np.ndarray) -> np.ndarray:
+        """Scaled predictions (..., N) from scaled lag vectors (..., p*N)."""
+        x = lags
         if self.activated_:
-            x = np.concatenate([x, self.autoencoder_.encode(lag_vec)])
-        return np.array([head.forward(x)[0] for head in self.heads_])
+            x = np.concatenate([lags, self.autoencoder_.encode(lags)], axis=-1)
+        return np.concatenate([head.forward(x) for head in self.heads_], axis=-1)
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast in original units."""
-        return self._path(history, h)
+        return self._forecast_many([history], h)[0]
+
+    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
+        """``forecast(history, h)`` for each history, from one recursion over all of them."""
+        for history in histories:
+            self._check_history(history, h, self.p_)
+        self._check_shapes()
+        p = self.p_
+        starts = self.scaler_.transform(np.vstack([history.values[-p:] for history in histories]))
+        out = recurse(lambda lags, k: self._predict_scaled(lags),
+                      starts.reshape(len(histories), p, -1), p, h)
+        return [Dataset(self.names_, path) for path in self.scaler_.inverse_transform(out)]
 
     def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
-        return self._path(history, actual.n_obs, actual)
-
-    def _path(self, history: Dataset, h: int, actual: Dataset | None = None) -> Dataset:
-        """The h rows after ``history`` in original units, predicted from earlier
-        predictions, or from the true rows of ``actual`` when it is given."""
-        self._check_history(history, h, self.p_)
+        """Each row of ``actual`` predicted from the true rows before it, in one pass
+        over the lag matrix of the last p rows of ``history`` and ``actual``."""
+        p = self.p_
+        self._check_history(history, actual.n_obs, p)
         self._check_shapes()
-        start = self.scaler_.transform(history.values[-self.p_ :])
-        truth = None if actual is None else self.scaler_.transform(actual.values)
-        out = recurse(lambda lags, k: self._predict_scaled(lags), start, self.p_, h, truth)
+        block = self.scaler_.transform(np.vstack([history.values[-p:], actual.values]))
+        out = self._predict_scaled(lag_matrix(block, p)[:, None])[:, 0]
         return Dataset(self.names_, self.scaler_.inverse_transform(out))
 
     def to_json(self) -> str:

@@ -131,23 +131,29 @@ class VarForecaster(BaseForecaster):
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast, feeding predictions back as inputs."""
-        return self._path(history, h)
+        return self._forecast_many([history], h)[0]
+
+    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
+        """``forecast(history, h)`` for each history, from one recursion over all of them."""
+        for history in histories:
+            self._check_history(history, h, self.p_)
+        starts = np.stack([history.values[-self.p_ :] for history in histories])
+        t0 = np.array([history.n_obs + 1 for history in histories]).reshape(-1, 1, 1)
+        out = recurse(lambda lags, k: self._predict(lags, t0 + k), starts, self.p_, h)
+        return [Dataset(self.names_, path) for path in out]
 
     def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
-        return self._path(history, actual.n_obs, actual)
-
-    def _path(self, history: Dataset, h: int, actual: Dataset | None = None) -> Dataset:
-        """The h rows after ``history``, each predicted from earlier predictions,
-        or from the true rows of ``actual`` when it is given (see ``recurse``)."""
-        self._check_history(history, h, self.p_)
-        start = history.n_obs + 1
-        truth = None if actual is None else actual.values
-        out = recurse(lambda lags, k: self._predict(lags, start + k), history.values, self.p_, h,
-                      truth)
-        return Dataset(self.names_, out)
+        """Each row of ``actual`` predicted from the true rows before it, in one pass
+        over the lag matrix of the last p rows of ``history`` and ``actual``."""
+        p, h = self.p_, actual.n_obs
+        self._check_history(history, h, p)
+        lags = lag_matrix(np.vstack([history.values[-p:], actual.values]), p)
+        t = history.n_obs + 1 + np.arange(h).reshape(-1, 1, 1)
+        return Dataset(self.names_, self._predict(lags[:, None], t)[:, 0])
 
     def _predict(self, lags: np.ndarray, t) -> np.ndarray:
-        """Prediction from lag vectors (one or a matrix of rows) at 1-based time index ``t``."""
+        """Predictions from lag vectors (..., p*N) at 1-based time indices ``t``,
+        which broadcast against the (..., N) result."""
         return lags @ self.coef_[: self.n_vars_ * self.p_] + self.const_ + self.trend_ * t
 
     def _residuals(self, data: Dataset) -> np.ndarray:

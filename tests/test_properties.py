@@ -1,5 +1,6 @@
 """Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
-rolling one-step predictions, JSON round trips), the scaler inversion and the AdaGrad step."""
+rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
+rows, JSON round trips), the scaler inversion and the AdaGrad step."""
 
 import functools
 import json
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from vanar import (
     Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
-    concat_datasets, impulse_path, rolling_one_step, simulate_system1,
+    concat_datasets, impulse_path, impulse_response, rolling_one_step, simulate_system1,
 )
 from vanar.network import AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
@@ -137,18 +138,20 @@ def _rolling_reference(model, history, actual):
 
 
 @functools.cache
-def _tiny_vanar():
-    """A small fitted VANAR with the autoencoder on, and the series it was fitted on."""
+def _tiny_vanar(autoencoder=True):
+    """A small fitted VANAR, with the autoencoder on unless told otherwise, and the
+    series it was fitted on."""
     data = simulate_system1(n=59)
-    model = VanarForecaster(p=4, hidden_dims=(8,), epochs=5, force_autoencoder=True).fit(data)
+    model = VanarForecaster(p=4, hidden_dims=(8,), epochs=5,
+                            force_autoencoder=autoencoder).fit(data)
     return model, data
 
 
 def _model_and_series(kind, seed, n):
     """A fitted model of the given kind and an ``n``-row series it can forecast."""
     rng = np.random.default_rng(seed)
-    if kind == "vanar":
-        model, data = _tiny_vanar()
+    if kind in ("vanar", "vanar:plain"):
+        model, data = _tiny_vanar(kind == "vanar")
         return model, data.rows(0, n)
     if kind == "true":
         x0 = rng.uniform(0.05, 0.95, size=2)
@@ -174,6 +177,63 @@ def test_rolling_one_step_equals_growing_history_loop(kind, seed, n_history, n_a
     expected = _rolling_reference(model, history, actual)
     assert got.names == expected.names
     assert got.values.tobytes() == expected.values.tobytes()
+
+
+ALL_KINDS = (*KINDS, "vanar", "vanar:plain")
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(4, 30), min_size=1, max_size=5), st.integers(1, 20))
+def test_side_by_side_recursions_equal_separate_forecasts(kind, seed, lengths, h):
+    # histories of different lengths, so a VAR trend index differs between them
+    model, data = _model_and_series(kind, seed, max(lengths))
+    histories = [data.rows(0, n) for n in lengths]
+    got = model._forecast_many(histories, h)
+    assert len(got) == len(histories)
+    for path, history in zip(got, histories):
+        expected = model.forecast(history, h)
+        assert path.names == expected.names
+        assert path.values.tobytes() == expected.values.tobytes()
+
+
+def _values_or_error(compute):
+    try:
+        return compute().values.tobytes()
+    except ValueError as exc:  # a true path that leaves the system's bounds
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.integers(0, 2**32 - 1), st.integers(4, 30),
+       st.floats(-0.5, 0.5), st.integers(1, 20), st.integers(0, 2))
+@example("vanar", 0, 30, 0.0, 12, 1)
+def test_impulse_response_is_shocked_minus_unshocked_path(kind, seed, n, epsilon, h, var):
+    model, base = _model_and_series(kind, seed, n)
+    shock_var = base.names[var % base.n_vars]
+
+    def reference():
+        shocked = impulse_path(model, base, shock_var, epsilon, h).path
+        unshocked = impulse_path(model, base, shock_var, 0.0, h).path
+        return Dataset(base.names, shocked.values - unshocked.values)
+
+    got = _values_or_error(lambda: impulse_response(model, base, shock_var, epsilon, h))
+    assert got == _values_or_error(reference)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=4), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+def test_mlp_forward_of_a_row_stack_equals_lone_rows(dims, batch, seed):
+    rng = np.random.default_rng(seed)
+    net = Mlp(dims).initialize(rng)
+    for b in net.biases:
+        b[:] = rng.normal(size=b.shape)
+    X = rng.normal(size=(batch, dims[0]))
+    stacked = net.forward(X[:, None])
+    assert stacked.shape == (batch, 1, dims[-1])
+    lone = np.stack([net.forward(x) for x in X])
+    assert stacked[:, 0].tobytes() == lone.tobytes()
 
 
 @settings(deadline=None)
