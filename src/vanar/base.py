@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 
 from .dataset import Dataset
+from .preprocessing import lag_matrix, recurse
 from .validation import check_fitted, check_positive_int
 
 
@@ -57,6 +58,9 @@ class BaseForecaster:
         with one recursion over all of them."""
         return [self.forecast(history, h) for history in histories]
 
+    def _check_params(self) -> None:
+        """Checks of the hyperparameters that need no data; ``fit`` runs them first."""
+
     def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
         """Row t of ``actual`` predicted by ``forecast(row, 1)`` from the one row
         before it, for forecasters whose ``forecast`` reads only the last row of
@@ -73,3 +77,41 @@ class BaseForecaster:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+class LagForecaster(BaseForecaster):
+    """The lag-p models' one recursion and one one-step pass (VAR and VANAR).
+
+    A fitted subclass sets ``p_`` and ``names_`` and supplies ``_predict(lags, t)``:
+    predictions (..., N) from lag vectors (..., p*N) at 1-based time indices ``t``
+    that broadcast against them, both in the model's own units, which ``_to_model``
+    and ``_from_model`` map rows of values into and out of (the identity here).
+    """
+
+    def _to_model(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def _from_model(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
+        """``forecast(history, h)`` for each history, from one recursion over all of them."""
+        p = self.p_
+        for history in histories:
+            self._check_history(history, h, p)
+        starts = self._to_model(np.vstack([history.values[-p:] for history in histories]))
+        t0 = np.array([history.n_obs + 1 for history in histories]).reshape(-1, 1, 1)
+        t = t0 + np.arange(h).reshape(-1, 1, 1, 1)  # (h, B, 1, 1): step k's time indices
+        out = recurse(lambda lags, k: self._predict(lags, t[k]),
+                      starts.reshape(len(histories), p, -1), p, h)
+        return [Dataset(self.names_, path) for path in self._from_model(out)]
+
+    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
+        """Each row of ``actual`` predicted from the true rows before it, in one pass
+        over the lag matrix of the last p rows of ``history`` and ``actual``."""
+        p, h = self.p_, actual.n_obs
+        self._check_history(history, h, p)
+        block = self._to_model(np.vstack([history.values[-p:], actual.values]))
+        t = history.n_obs + 1 + np.arange(h).reshape(-1, 1, 1)
+        out = self._predict(lag_matrix(block, p)[:, None], t)[:, 0]
+        return Dataset(self.names_, self._from_model(out))

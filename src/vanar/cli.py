@@ -93,7 +93,8 @@ def _add_fit_var(sub):
 
     def cmd(args):
         data = read_csv(args.data)
-        p_order = args.p or select_lag_aic(data, capped_p_max(args.p_max, data.n_obs), det=args.det)
+        p_order = args.p if args.p is not None else select_lag_aic(
+            data, capped_p_max(args.p_max, data.n_obs), det=args.det)
         model = VarForecaster(p=p_order, det=args.det).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         print(f"fit VAR-{p_order} (det={args.det}) on {data.n_obs} rows -> {args.out}")
@@ -180,7 +181,8 @@ def _add_granger(sub):
         data = read_csv(args.data)
         center = args.center or data.names[0]
         train = data.rows(0, data.n_obs - args.test_len)
-        p_order = args.p or select_lag_aic(train, capped_p_max(args.p_max, train.n_obs))
+        p_order = args.p if args.p is not None else select_lag_aic(
+            train, capped_p_max(args.p_max, train.n_obs))
         kind, entry = MODEL_KINDS[args.model], {"kind": args.model}
         graph = causality_graph(
             data, center, lambda variables, seed: kind.build(entry, p_order, seed),

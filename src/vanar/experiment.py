@@ -50,7 +50,7 @@ def _linear(entry: dict, p: int, seed: int) -> VarForecaster:
 def _neural(entry: dict, p: int, seed: int, **defaults) -> VanarForecaster:
     opts = {**defaults, **{k: entry[k] for k in _VANAR_OPTS if k in entry}}
     opts.setdefault("p", p)
-    if "hidden_dims" in opts:
+    if isinstance(opts.get("hidden_dims"), list):
         opts["hidden_dims"] = tuple(opts["hidden_dims"])
     return VanarForecaster(seed=seed, **opts)
 
@@ -107,6 +107,13 @@ class TaskError(RuntimeError):
 def validate_config(cfg: dict) -> list[str]:
     """All validation problems in ``cfg`` (empty list = valid)."""
     problems = []
+
+    def positive_int(value, name):
+        try:
+            check_positive_int(value, name)
+        except ValueError as exc:
+            problems.append(str(exc))
+
     system = cfg.get("system")
     if system is None:
         problems.append("missing 'system' (either \"system1\" or {\"csv\": path})")
@@ -124,9 +131,7 @@ def validate_config(cfg: dict) -> list[str]:
 
     env = cfg.get("environment", {})
     for key in ("train_len", "test_len"):
-        value = env.get(key)
-        if not isinstance(value, int) or value <= 0:
-            problems.append(f"environment.{key} must be a positive integer, got {value!r}")
+        positive_int(env.get(key), f"environment.{key}")
 
     models = cfg.get("models", [])
     if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
@@ -144,6 +149,10 @@ def validate_config(cfg: dict) -> list[str]:
             if key not in allowed:
                 problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
                                 f"allowed: {', '.join(allowed)}")
+        try:  # the checks its fit runs first; p = 1 stands in for the run's own lag order
+            MODEL_KINDS[kind].build(entry, 1, 0)._check_params()
+        except (TypeError, ValueError) as exc:
+            problems.append(f"models[{i}]: {exc}")
 
     tasks = cfg.get("tasks", [])
     for task in tasks:
@@ -153,12 +162,17 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append("tasks requested but no models configured")
 
     seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) and s >= 0 for s in seeds) or not seeds:
+    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds) or not seeds:
         problems.append(f"'seeds' must be a nonempty list of nonnegative integers, got {seeds!r}")
 
     if "granger" in tasks:
         if not any(spec.multivariate for spec in kinds):
             problems.append("granger task needs a 'var' or 'vanar' model entry")
+        granger = cfg.get("granger", {})
+        if "test_len" in granger:
+            positive_int(granger["test_len"], "granger.test_len")
+        if granger.get("horizon") is not None:
+            positive_int(granger["horizon"], "granger.horizon")
     if "irf" in tasks:
         irf = cfg.get("irf", {})
         if system == "system1":
@@ -166,8 +180,9 @@ def validate_config(cfg: dict) -> list[str]:
         elif "shock_var" not in irf:
             problems.append("irf task on csv data needs irf.shock_var")
         eps = irf.get("epsilon", 0.1)
-        if not isinstance(eps, (int, float)):
+        if not isinstance(eps, (int, float)) or isinstance(eps, bool):
             problems.append(f"irf.epsilon must be a number, got {eps!r}")
+        positive_int(irf.get("horizon", 20), "irf.horizon")
 
     # referenced variables must exist in the data source
     names = None

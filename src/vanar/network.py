@@ -10,9 +10,12 @@ gradients can be checked against finite differences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .validation import check_positive_int
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -219,16 +222,16 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in [0, 1)")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("epochs", "patience"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        check_positive_int(self.batch_size, "batch_size")
+        fraction, rate = self.validation_fraction, self.learning_rate
+        if not (isinstance(fraction, numbers.Real) and 0.0 <= fraction < 1.0):
+            raise ValueError(f"validation_fraction must be in [0, 1), got {fraction!r}")
+        if not (isinstance(rate, numbers.Real) and rate > 0):
+            raise ValueError(f"learning_rate must be positive, got {rate!r}")
 
     def validation_rows(self, n_rows: int) -> int:
         """Size of the validation tail that :func:`train` holds out of ``n_rows``."""

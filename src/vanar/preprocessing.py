@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dataset import Dataset
 from .validation import check_matrix
@@ -45,28 +46,33 @@ def build_lag_design(data: Dataset, p: int) -> LagDesign:
 
 
 def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
-    """Lagged regressor matrix for a (T, N) value matrix; (T-p, p*N) output."""
+    """(T-p, p*N) lagged regressors of a (T, N) value matrix; row r is the lag
+    vector of row r + p."""
     T, N = values.shape
-    out = np.empty((T - p, p * N))
-    for j in range(N):
-        for lag in range(1, p + 1):
-            out[:, j * p + (lag - 1)] = values[p - lag:T - lag, j]
-    return out
+    row, col = values.strides
+    # window r is the p rows r..r+p-1 before row r + p, all within values; _flat_lags copies
+    return _flat_lags(as_strided(values, (T - p, p, N), (row, row, col), writeable=False))
 
 
 def lag_vector(recent: np.ndarray, p: int) -> np.ndarray:
     """Lag vector for the next time step, from the last >= p rows of history.
 
     ``recent`` is one (T, N) history, or a (B, T, N) stack of them for a
-    (B, p*N) result. Ordering matches :func:`lag_matrix`: variable-major,
-    most recent first. The result is a fresh C-contiguous array, never a
-    view of ``recent``.
+    (B, p*N) result. The result is a fresh C-contiguous array, never a view
+    of ``recent``.
     """
-    T, N = recent.shape[-2:]
+    T = recent.shape[-2]
     if T < p:
         raise ValueError(f"insufficient history: need at least {p} rows, got {T}")
-    lags = recent[..., T - p :, :][..., ::-1, :].swapaxes(-1, -2).copy()
-    return lags.reshape(recent.shape[:-2] + (N * p,))
+    return _flat_lags(recent[..., T - p :, :])
+
+
+def _flat_lags(windows: np.ndarray) -> np.ndarray:
+    """The one lag layout: (..., p*N) lag vectors, variable-major with the most recent
+    lag first (see :class:`LagDesign`), of (..., p, N) windows of rows in time order.
+    A fresh C-contiguous copy, since numpy picks its matmul kernel by memory layout."""
+    lags = windows[..., ::-1, :].swapaxes(-1, -2).copy()
+    return lags.reshape(windows.shape[:-2] + (-1,))
 
 
 def recurse(predict, starts: np.ndarray, p: int, h: int) -> np.ndarray:

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .base import BaseForecaster
+from .base import LagForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
-from .preprocessing import StandardScaler, build_lag_design, lag_matrix, recurse
+from .preprocessing import StandardScaler, build_lag_design
 from .validation import check_fitted, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
@@ -132,7 +132,7 @@ def _head_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-class VanarForecaster(BaseForecaster):
+class VanarForecaster(LagForecaster):
     """Per-variable neural autoregression with optional feature extraction.
 
     Parameters
@@ -192,20 +192,27 @@ class VanarForecaster(BaseForecaster):
         self.p_max = p_max
 
     def _train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=seed,
-            validation_fraction=self.validation_fraction,
-            patience=self.patience,
-        )
+        knobs = ("epochs", "batch_size", "learning_rate", "validation_fraction", "patience")
+        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in knobs})
+
+    def _check_params(self) -> None:
+        for name in ("p", "embedding_dim"):
+            if getattr(self, name) is not None:
+                check_positive_int(getattr(self, name), name)
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise ValueError(f"hidden_dims must be a list of widths, got {self.hidden_dims!r}")
+        for width in self.hidden_dims:
+            check_positive_int(width, "each of hidden_dims")
+        if self.force_autoencoder not in (None, True, False):
+            raise ValueError(f"force_autoencoder must be a bool or None, got {self.force_autoencoder!r}")
+        self._train_config(self.seed)
 
     def fit(self, data: Dataset) -> "VanarForecaster":
+        self._check_params()
         p = self.p
         if p is None:
             p = select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs))
-        p = check_positive_int(p, "p")
+        p = int(p)
         T, N = data.values.shape
         if T <= p + 1:
             raise ValueError(f"insufficient history: T={T} too small for p={p}")
@@ -225,10 +232,9 @@ class VanarForecaster(BaseForecaster):
                     f"feature extraction needs p >= {MIN_AUTOENCODER_LAG}, got p={p}"
                 )
             use_ae = False
-        if use_ae is not None and emb >= p * N:
+        if emb >= p * N:
             if use_ae:
                 raise ValueError(f"embedding_dim {emb} must be < p*N = {p * N}")
-        elif emb >= p * N:
             use_ae = False  # no room to compress; skip the comparison
 
         # None fits both head sets and keeps the better one on validation
@@ -247,14 +253,12 @@ class VanarForecaster(BaseForecaster):
         self.p_ = p
         self.names_ = data.names
         self.n_vars_ = N
-        self._check_shapes()
         return self
 
     def _fit_heads(self, inputs, targets, n_vars, ae_tag):
         """One head per variable; returns (heads, histories, mean validation MSE)."""
         heads = []
         histories = []
-        val_losses = []
         width_in = inputs.shape[1]
         for j in range(n_vars):
             net = Mlp([width_in, *self.hidden_dims, 1])
@@ -262,22 +266,18 @@ class VanarForecaster(BaseForecaster):
             net, history = train(net, inputs, targets[:, j : j + 1], cfg)
             heads.append(net)
             histories.append(history)
-            val_losses.append(history.best_val_loss)
-        score = float(np.mean(val_losses)) if val_losses else math.nan
+        score = float(np.mean([h.best_val_loss for h in histories])) if histories else math.nan
         return heads, histories, score
 
-    def _check_shapes(self) -> None:
-        expect = self.p_ * self.n_vars_ + (
-            self.autoencoder_.embedding_dim if self.activated_ else 0
-        )
-        for j, head in enumerate(self.heads_):
-            if head.layer_dims[0] != expect:
-                raise AssertionError(
-                    f"head {j} expects {head.layer_dims[0]} inputs, invariant says {expect}"
-                )
+    def _to_model(self, values: np.ndarray) -> np.ndarray:
+        return self.scaler_.transform(values)
 
-    def _predict_scaled(self, lags: np.ndarray) -> np.ndarray:
-        """Scaled predictions (..., N) from scaled lag vectors (..., p*N)."""
+    def _from_model(self, values: np.ndarray) -> np.ndarray:
+        return self.scaler_.inverse_transform(values)
+
+    def _predict(self, lags: np.ndarray, t=None) -> np.ndarray:
+        """Scaled predictions (..., N) from scaled lag vectors (..., p*N); the
+        heads read no time index ``t``."""
         x = lags
         if self.activated_:
             x = np.concatenate([lags, self.autoencoder_.encode(lags)], axis=-1)
@@ -286,27 +286,6 @@ class VanarForecaster(BaseForecaster):
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast in original units."""
         return self._forecast_many([history], h)[0]
-
-    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
-        """``forecast(history, h)`` for each history, from one recursion over all of them."""
-        for history in histories:
-            self._check_history(history, h, self.p_)
-        self._check_shapes()
-        p = self.p_
-        starts = self.scaler_.transform(np.vstack([history.values[-p:] for history in histories]))
-        out = recurse(lambda lags, k: self._predict_scaled(lags),
-                      starts.reshape(len(histories), p, -1), p, h)
-        return [Dataset(self.names_, path) for path in self.scaler_.inverse_transform(out)]
-
-    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
-        """Each row of ``actual`` predicted from the true rows before it, in one pass
-        over the lag matrix of the last p rows of ``history`` and ``actual``."""
-        p = self.p_
-        self._check_history(history, actual.n_obs, p)
-        self._check_shapes()
-        block = self.scaler_.transform(np.vstack([history.values[-p:], actual.values]))
-        out = self._predict_scaled(lag_matrix(block, p)[:, None])[:, 0]
-        return Dataset(self.names_, self.scaler_.inverse_transform(out))
 
     def to_json(self) -> str:
         check_fitted(self, "heads_")
@@ -345,5 +324,8 @@ class VanarForecaster(BaseForecaster):
                              f"{[h.layer_dims[-1] for h in est.heads_]}")
         if est.activated_ and est.autoencoder_ is None:
             raise ValueError("activated model without an autoencoder")
-        est._check_shapes()
+        width = est.p_ * N + (est.autoencoder_.embedding_dim if est.activated_ else 0)
+        if any(h.layer_dims[0] != width for h in est.heads_):
+            raise ValueError(f"heads take {[h.layer_dims[0] for h in est.heads_]} inputs; "
+                             f"p={est.p_}, {N} names and the autoencoder give {width}")
         return est

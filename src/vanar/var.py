@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .base import BaseForecaster
+from .base import BaseForecaster, LagForecaster
 from .dataset import Dataset
-from .preprocessing import lag_matrix, recurse
+from .preprocessing import lag_matrix
 from .validation import check_fitted, check_positive_int
 
 DET_OPTIONS = ("none", "constant", "constant+trend")
@@ -27,14 +27,10 @@ def _n_det_terms(det: str) -> int:
     return {"none": 0, "constant": 1, "constant+trend": 2}[det]
 
 
-def _det_columns(det: str, t_index: np.ndarray) -> np.ndarray | None:
-    """Deterministic regressors for the given (1-based) target time indices."""
-    if det == "none":
-        return None
-    cols = [np.ones_like(t_index, dtype=np.float64)]
-    if det == "constant+trend":
-        cols.append(t_index.astype(np.float64))
-    return np.column_stack(cols)
+def _design(lags: np.ndarray, det: str, t_index: np.ndarray) -> np.ndarray:
+    """The lag columns, then the deterministic regressors at the (1-based) target times."""
+    det_columns = [np.ones((len(t_index), 1)), t_index[:, None].astype(np.float64)]
+    return np.hstack([lags, *det_columns[: _n_det_terms(det)]])
 
 
 def _solve_ols(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,7 +55,7 @@ def _aic(resid: np.ndarray, k: int) -> float:
     return float(logdet + 2.0 * k / T_eff)
 
 
-class VarForecaster(BaseForecaster):
+class VarForecaster(LagForecaster):
     """VAR(p) / AR(p) estimator with recursive multi-step forecasting.
 
     Parameters
@@ -91,9 +87,11 @@ class VarForecaster(BaseForecaster):
         self.p = p
         self.det = det
 
+    def _check_params(self) -> tuple[int, int]:
+        return check_positive_int(self.p, "p"), _n_det_terms(self.det)
+
     def fit(self, data: Dataset) -> "VarForecaster":
-        p = check_positive_int(self.p, "p")
-        n_det = _n_det_terms(self.det)
+        p, n_det = self._check_params()
         T, N = data.values.shape
         if p >= T:
             raise ValueError(f"insufficient history: need T > p, got T={T}, p={p}")
@@ -101,15 +99,13 @@ class VarForecaster(BaseForecaster):
             raise ValueError(
                 f"not identifiable: T - p = {T - p} rows for {N * p + n_det} coefficients"
             )
-        X = lag_matrix(data.values, p)
-        t_index = np.arange(p + 1, T + 1)
-        D = _det_columns(self.det, t_index)
-        design = X if D is None else np.hstack([X, D])
+        design = _design(lag_matrix(data.values, p), self.det, np.arange(p + 1, T + 1))
         B, resid = _solve_ols(design, data.values[p:])
 
         self.names_ = data.names
         self.n_vars_ = N
-        self.phi_ = _extract_phi(B, p, N)
+        # row j*p + i - 1 of B holds variable j at lag i (lag_matrix's columns)
+        self.phi_ = B[: N * p].reshape(N, p, N).transpose(1, 2, 0).copy()
         self.const_ = B[N * p].copy() if n_det >= 1 else np.zeros(N)
         self.trend_ = B[N * p + 1].copy() if n_det >= 2 else np.zeros(N)
         self.coef_ = B
@@ -126,30 +122,11 @@ class VarForecaster(BaseForecaster):
         T_eff = T - p usable rows and k the number of estimated
         coefficients (N^2 p plus N per deterministic term).
         """
-        check_fitted(self, "phi_")
         return _aic(self._residuals(data), self.coef_.size)
 
     def forecast(self, history: Dataset, h: int) -> Dataset:
         """Recursive h-step forecast, feeding predictions back as inputs."""
         return self._forecast_many([history], h)[0]
-
-    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
-        """``forecast(history, h)`` for each history, from one recursion over all of them."""
-        for history in histories:
-            self._check_history(history, h, self.p_)
-        starts = np.stack([history.values[-self.p_ :] for history in histories])
-        t0 = np.array([history.n_obs + 1 for history in histories]).reshape(-1, 1, 1)
-        out = recurse(lambda lags, k: self._predict(lags, t0 + k), starts, self.p_, h)
-        return [Dataset(self.names_, path) for path in out]
-
-    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
-        """Each row of ``actual`` predicted from the true rows before it, in one pass
-        over the lag matrix of the last p rows of ``history`` and ``actual``."""
-        p, h = self.p_, actual.n_obs
-        self._check_history(history, h, p)
-        lags = lag_matrix(np.vstack([history.values[-p:], actual.values]), p)
-        t = history.n_obs + 1 + np.arange(h).reshape(-1, 1, 1)
-        return Dataset(self.names_, self._predict(lags[:, None], t)[:, 0])
 
     def _predict(self, lags: np.ndarray, t) -> np.ndarray:
         """Predictions from lag vectors (..., p*N) at 1-based time indices ``t``,
@@ -157,12 +134,8 @@ class VarForecaster(BaseForecaster):
         return lags @ self.coef_[: self.n_vars_ * self.p_] + self.const_ + self.trend_ * t
 
     def _residuals(self, data: Dataset) -> np.ndarray:
-        if data.names != self.names_:
-            raise ValueError(f"data variables {data.names} != fitted {self.names_}")
-        T = data.n_obs
-        if T <= self.p_:
-            raise ValueError("insufficient history")
-        t_index = np.arange(self.p_ + 1, T + 1)[:, None]
+        self._check_history(data, 1, self.p_ + 1)  # the fitted variables, and a row after p
+        t_index = np.arange(self.p_ + 1, data.n_obs + 1)[:, None]
         return data.values[self.p_ :] - self._predict(lag_matrix(data.values, self.p_), t_index)
 
     def to_json(self) -> str:
@@ -201,32 +174,10 @@ class VarForecaster(BaseForecaster):
                              f"p={p} and {N} names need {expected}")
         est.resid_cov_ = np.asarray(doc["resid_cov"], dtype=np.float64)
         est.n_obs_ = doc["n_obs"]
-        est.coef_ = _stack_coefficients(est.phi_, est.const_, est.trend_, est.det_)
+        # C order, like the fitted coef_: numpy picks its matmul kernel by memory layout
+        lags = est.phi_.transpose(2, 0, 1).copy().reshape(N * p, N)
+        est.coef_ = np.vstack([lags, est.const_, est.trend_][: 1 + _n_det_terms(est.det_)])
         return est
-
-
-def _extract_phi(B: np.ndarray, p: int, N: int) -> np.ndarray:
-    """(p, N, N) coefficient matrices from the stacked OLS solution."""
-    phi = np.empty((p, N, N))
-    for lag in range(1, p + 1):
-        for j in range(N):
-            phi[lag - 1][:, j] = B[j * p + (lag - 1)]
-    return phi
-
-
-def _stack_coefficients(phi, const, trend, det) -> np.ndarray:
-    p, N, _ = phi.shape
-    B = np.empty((N * p, N))
-    for lag in range(1, p + 1):
-        for j in range(N):
-            B[j * p + (lag - 1)] = phi[lag - 1][:, j]
-    rows = [B]
-    n_det = _n_det_terms(det)
-    if n_det >= 1:
-        rows.append(const.reshape(1, -1))
-    if n_det >= 2:
-        rows.append(trend.reshape(1, -1))
-    return np.vstack(rows)
 
 
 def fit_var_ols(data: Dataset, p: int, det: str = "none") -> VarForecaster:
@@ -249,13 +200,11 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     n_det = _n_det_terms(det)
     targets = data.values[p_max:]
     t_index = np.arange(p_max + 1, T + 1)
-    D = _det_columns(det, t_index)
 
     best_p, best_aic = None, math.inf
     errors = []
     for p in range(1, p_max + 1):
-        X = lag_matrix(data.values, p)[p_max - p :]
-        design = X if D is None else np.hstack([X, D])
+        design = _design(lag_matrix(data.values, p)[p_max - p :], det, t_index)
         try:
             _, resid = _solve_ols(design, targets)
             aic = _aic(resid, N * N * p + N * n_det)

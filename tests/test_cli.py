@@ -110,6 +110,40 @@ class TestConfigValidation:
                           granger={"center": "y"}, irf={"shock_var": "y"})
         assert validate_config(cfg) == []
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda c: c["models"].append({"kind": "var", "det": "quadratic"}), "models[4]: det"),
+        (lambda c: c["models"].append({"kind": "vanar", "epochs": "ten"}), "models[4]: epochs"),
+        (lambda c: c["models"].append({"kind": "ana", "hidden_dims": 8}), "models[4]: hidden_dims"),
+        (lambda c: c["models"].append({"kind": "vanar", "hidden_dims": ["8"]}), "models[4]: each"),
+        (lambda c: c["models"].append({"kind": "vanar", "learning_rate": 0}), "learning_rate"),
+        (lambda c: c["models"].append({"kind": "vanar", "validation_fraction": 1}),
+         "validation_fraction"),
+        (lambda c: c["models"].append({"kind": "vanar", "force_autoencoder": "yes"}),
+         "force_autoencoder"),
+        (lambda c: c["models"].append({"kind": "ar", "p": 0}), "models[4]: p"),
+        (lambda c: c["environment"].update(train_len=True), "environment.train_len"),
+        (lambda c: c.update(seeds=[0, False]), "seeds"),
+        (lambda c: c.update(tasks=["irf"], irf={"horizon": "five"}), "irf.horizon"),
+        (lambda c: c.update(tasks=["irf"], irf={"epsilon": True}), "irf.epsilon"),
+        (lambda c: c.update(tasks=["granger"], granger={"test_len": 0}), "granger.test_len"),
+        (lambda c: c.update(tasks=["granger"], granger={"horizon": 2.5}), "granger.horizon"),
+    ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
+            "force_autoencoder", "model_p", "train_len", "seeds", "irf_horizon",
+            "irf_epsilon", "granger_test_len", "granger_horizon"])
+    def test_bad_value_is_a_validation_problem(self, edit, problem):
+        cfg = fast_config()
+        edit(cfg)
+        problems = validate_config(cfg)
+        assert len(problems) == 1 and problem in problems[0], problems
+
+    def test_bad_values_fail_before_the_manifest(self, tmp_path):
+        models = [{"kind": "var", "det": "quadratic"}, {"kind": "vanar", "epochs": "ten"}]
+        cfg = fast_config(models=models, tasks=["irf"], irf={"horizon": "five"})
+        with pytest.raises(ConfigError) as exc:
+            run(cfg, tmp_path / "out")
+        assert len(exc.value.problems) == 3
+        assert not (tmp_path / "out").exists()
+
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run({"system": "nope"}, tmp_path / "out")
@@ -329,6 +363,16 @@ class TestCliProcess:
         assert proc.returncode != 0
         assert "system" in proc.stderr
         assert "warp" in proc.stderr
+
+    @pytest.mark.parametrize("command", [["fit-var"], ["fit-vanar", "--epochs", "1"],
+                                         ["granger", "--model", "var"]],
+                             ids=["fit-var", "fit-vanar", "granger"])
+    def test_lag_order_zero_rejected(self, tmp_path, command, capsys):
+        sim, out = tmp_path / "sim.csv", tmp_path / "out"
+        assert main(["simulate", "--n", "60", "--out", str(sim)]) == 0
+        assert main([*command, "--data", str(sim), "--p", "0", "--out", str(out)]) == 1
+        assert "p must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):
         rc = main(["fit-var", "--data", str(tmp_path / "missing.csv"), "--out",

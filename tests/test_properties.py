@@ -62,6 +62,25 @@ def test_lag_vector_is_a_fresh_contiguous_lag_matrix_row(case):
     assert not np.shares_memory(got, recent)
 
 
+def _lag_matrix_loop(values, p):
+    """The lag matrix column by column: variable j at lag i in column j*p + i - 1."""
+    T, N = values.shape
+    out = np.empty((T - p, p * N))
+    for j in range(N):
+        for lag in range(1, p + 1):
+            out[:, j * p + (lag - 1)] = values[p - lag:T - lag, j]
+    return out
+
+
+@settings(deadline=None)
+@given(history_and_lag())
+def test_lag_matrix_is_the_column_loop_in_fresh_c_order(case):
+    values, p = case
+    X = lag_matrix(values, p)
+    assert X.tobytes() == _lag_matrix_loop(values, p).tobytes()
+    assert X.flags.c_contiguous and not np.shares_memory(X, values)
+
+
 def _companion(phi):
     """The (Np, Np) companion matrix of coefficient matrices phi_1..phi_p."""
     p, N, _ = phi.shape
@@ -108,6 +127,27 @@ def test_var_forecast_matches_companion_iteration(seed, p, N, det, extra, h):
         state[:N] += model.const_ + model.trend_ * t
         expected[s] = state[:N]
     np.testing.assert_allclose(fc.values, expected, rtol=0, atol=1e-10)
+
+
+def _extract_phi(B, p, N):
+    """(p, N, N) coefficient matrices from the stacked OLS solution, lag by lag."""
+    phi = np.empty((p, N, N))
+    for lag in range(1, p + 1):
+        for j in range(N):
+            phi[lag - 1][:, j] = B[j * p + (lag - 1)]
+    return phi
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(DET_OPTIONS))
+def test_fitted_phi_reads_coef_in_lag_matrix_order(seed, p, N, det):
+    data = Dataset([f"v{j}" for j in range(N)], np.random.default_rng(seed).normal(size=(60, N)))
+    model = VarForecaster(p=p, det=det).fit(data)
+    assert model.phi_.tobytes() == _extract_phi(model.coef_, p, N).tobytes()
+    back = VarForecaster.from_json(model.to_json())
+    assert back.coef_.tobytes() == model.coef_.tobytes()
+    assert back.coef_.flags.c_contiguous
 
 
 logistic_rate = st.floats(2.5, 3.8)

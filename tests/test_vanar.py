@@ -113,7 +113,7 @@ class TestForecast:
 
         scaled = model.scaler_.transform(data.values)
         x = lag_vector(scaled[-4:], 4)
-        manual = model.scaler_.inverse_transform(model._predict_scaled(x))
+        manual = model.scaler_.inverse_transform(model._predict(x))
         assert fc.values[0] == pytest.approx(manual, rel=1e-12)
 
     def test_zero_weight_heads_return_inverse_scaled_bias(self):
@@ -206,8 +206,10 @@ class TestSerialization:
         (lambda d: d["autoencoder"].update(embedding_dim=d["autoencoder"]["embedding_dim"] + 1),
          "must be equal"),
         (lambda d: d["heads"][1]["biases"][0].pop(), "layer_dims give"),
+        (lambda d: d.update(p=5), "heads take"),
+        (lambda d: d.update(activated=False, autoencoder=None), "heads take"),
     ], ids=["scaler-mean", "scaler-scale", "head-missing", "head-extra", "autoencoder-missing",
-            "embedding-dim", "head-bias"])
+            "embedding-dim", "head-bias", "head-width-p", "head-width-autoencoder"])
     def test_malformed_document_rejected(self, edit, message):
         model = VanarForecaster(p=4, hidden_dims=(4,), epochs=2, force_autoencoder=True)
         doc = json.loads(model.fit(chaotic(60)).to_json())

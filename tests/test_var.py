@@ -36,6 +36,15 @@ class TestOlsFit:
         model = fit_var_ols(simulate_var1(200), 1)
         assert np.abs(model.phi_[0] - PHI).max() < 1e-8
 
+    def test_exact_recovery_of_two_lags(self):
+        x = np.zeros((120, 2))
+        x[:2] = [[1.0, -0.5], [0.3, 0.8]]
+        for t in range(2, 120):
+            x[t] = PHI1 @ x[t - 1] + PHI2 @ x[t - 2]
+        model = fit_var_ols(Dataset(("a", "b"), x), 2)
+        assert np.abs(model.phi_[0] - PHI1).max() < 1e-8
+        assert np.abs(model.phi_[1] - PHI2).max() < 1e-8
+
     def test_recovery_with_noise(self):
         model = fit_var_ols(simulate_var1(1000, sd=0.01, seed=1), 1)
         assert np.abs(model.phi_[0] - PHI).max() < 0.05
