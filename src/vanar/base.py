@@ -58,9 +58,6 @@ class BaseForecaster:
         with one recursion over all of them."""
         return [self.forecast(history, h) for history in histories]
 
-    def _check_params(self) -> None:
-        """Checks of the hyperparameters that need no data; ``fit`` runs them first."""
-
     def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
         """Row t of ``actual`` predicted by ``forecast(row, 1)`` from the one row
         before it, for forecasters whose ``forecast`` reads only the last row of

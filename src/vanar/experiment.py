@@ -30,7 +30,7 @@ from .metrics import rmse, rmsse
 from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
-from .validation import check_positive_int
+from .validation import check_hyperparameters, check_positive_int
 from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
@@ -107,13 +107,6 @@ class TaskError(RuntimeError):
 def validate_config(cfg: dict) -> list[str]:
     """All validation problems in ``cfg`` (empty list = valid)."""
     problems = []
-
-    def positive_int(value, name):
-        try:
-            check_positive_int(value, name)
-        except ValueError as exc:
-            problems.append(str(exc))
-
     system = cfg.get("system")
     if system is None:
         problems.append("missing 'system' (either \"system1\" or {\"csv\": path})")
@@ -130,8 +123,8 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append(f"csv file not found: {system['csv']}")
 
     env = cfg.get("environment", {})
-    for key in ("train_len", "test_len"):
-        positive_int(env.get(key), f"environment.{key}")
+    counts = [("environment.train_len", env.get("train_len")),
+              ("environment.test_len", env.get("test_len"))]
 
     models = cfg.get("models", [])
     if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
@@ -149,10 +142,11 @@ def validate_config(cfg: dict) -> list[str]:
             if key not in allowed:
                 problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
                                 f"allowed: {', '.join(allowed)}")
-        try:  # the checks its fit runs first; p = 1 stands in for the run's own lag order
-            MODEL_KINDS[kind].build(entry, 1, 0)._check_params()
-        except (TypeError, ValueError) as exc:
-            problems.append(f"models[{i}]: {exc}")
+        if len(entry) > 1 + ("label" in entry):  # it sets values: check them as fit will
+            try:
+                check_hyperparameters(entry)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"models[{i}]: {exc}")
 
     tasks = cfg.get("tasks", [])
     for task in tasks:
@@ -170,9 +164,9 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append("granger task needs a 'var' or 'vanar' model entry")
         granger = cfg.get("granger", {})
         if "test_len" in granger:
-            positive_int(granger["test_len"], "granger.test_len")
+            counts.append(("granger.test_len", granger["test_len"]))
         if granger.get("horizon") is not None:
-            positive_int(granger["horizon"], "granger.horizon")
+            counts.append(("granger.horizon", granger["horizon"]))
     if "irf" in tasks:
         irf = cfg.get("irf", {})
         if system == "system1":
@@ -182,7 +176,10 @@ def validate_config(cfg: dict) -> list[str]:
         eps = irf.get("epsilon", 0.1)
         if not isinstance(eps, (int, float)) or isinstance(eps, bool):
             problems.append(f"irf.epsilon must be a number, got {eps!r}")
-        positive_int(irf.get("horizon", 20), "irf.horizon")
+        counts.append(("irf.horizon", irf.get("horizon", 20)))
+    for name, value in counts:
+        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            problems.append(f"{name} must be a positive integer, got {value!r}")
 
     # referenced variables must exist in the data source
     names = None

@@ -10,12 +10,11 @@ gradients can be checked against finite differences.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import check_positive_int
+from .validation import check_hyperparameters
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -222,16 +221,7 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("epochs", "patience"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        check_positive_int(self.batch_size, "batch_size")
-        fraction, rate = self.validation_fraction, self.learning_rate
-        if not (isinstance(fraction, numbers.Real) and 0.0 <= fraction < 1.0):
-            raise ValueError(f"validation_fraction must be in [0, 1), got {fraction!r}")
-        if not (isinstance(rate, numbers.Real) and rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {rate!r}")
+        check_hyperparameters(vars(self))
 
     def validation_rows(self, n_rows: int) -> int:
         """Size of the validation tail that :func:`train` holds out of ``n_rows``."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+DET_OPTIONS = ("none", "constant", "constant+trend")
+
 
 def check_matrix(values, name: str = "values") -> np.ndarray:
     """Coerce to a 2-D float64 array with no NaN/inf entries."""
@@ -49,3 +51,32 @@ def check_same_length(a, b, names: str = "series") -> tuple[np.ndarray, np.ndarr
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"{names} must have equal length, got {a.shape[0]} and {b.shape[0]}")
     return a, b
+
+
+def check_hyperparameters(params: dict) -> None:
+    """The rules for the models' hyperparameters and training settings, applied to
+    those in ``params`` (other names pass). ``TrainConfig`` runs them on its fields,
+    the estimators' ``fit`` on their own, and ``validate_config`` on model entries."""
+    for name, value in params.items():
+        if name not in ("epochs", "patience", "batch_size", "p", "embedding_dim", "hidden_dims",
+                        "force_autoencoder", "validation_fraction", "learning_rate", "det"):
+            continue
+        if name in ("epochs", "patience", "batch_size"):
+            least = int(name == "batch_size")
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        elif name in ("p", "embedding_dim") and value is not None:
+            check_positive_int(value, name)
+        elif name == "hidden_dims":
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"hidden_dims must be a list of widths, got {value!r}")
+            for width in value:
+                check_positive_int(width, "each of hidden_dims")
+        elif name == "force_autoencoder" and value not in (None, True, False):
+            raise ValueError(f"force_autoencoder must be a bool or None, got {value!r}")
+        elif name == "validation_fraction" and not (hasattr(value, "__float__") and 0 <= value < 1):
+            raise ValueError(f"validation_fraction must be in [0, 1), got {value!r}")
+        elif name == "learning_rate" and not (hasattr(value, "__float__") and value > 0):
+            raise ValueError(f"learning_rate must be positive, got {value!r}")
+        elif name == "det" and value not in DET_OPTIONS:
+            raise ValueError(f"det must be one of {DET_OPTIONS}, got {value!r}")

@@ -21,7 +21,7 @@ from .base import LagForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, build_lag_design
-from .validation import check_fitted, check_positive_int
+from .validation import check_fitted, check_hyperparameters, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
@@ -195,20 +195,8 @@ class VanarForecaster(LagForecaster):
         knobs = ("epochs", "batch_size", "learning_rate", "validation_fraction", "patience")
         return TrainConfig(seed=seed, **{name: getattr(self, name) for name in knobs})
 
-    def _check_params(self) -> None:
-        for name in ("p", "embedding_dim"):
-            if getattr(self, name) is not None:
-                check_positive_int(getattr(self, name), name)
-        if not isinstance(self.hidden_dims, (list, tuple)):
-            raise ValueError(f"hidden_dims must be a list of widths, got {self.hidden_dims!r}")
-        for width in self.hidden_dims:
-            check_positive_int(width, "each of hidden_dims")
-        if self.force_autoencoder not in (None, True, False):
-            raise ValueError(f"force_autoencoder must be a bool or None, got {self.force_autoencoder!r}")
-        self._train_config(self.seed)
-
     def fit(self, data: Dataset) -> "VanarForecaster":
-        self._check_params()
+        check_hyperparameters(vars(self))
         p = self.p
         if p is None:
             p = select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs))

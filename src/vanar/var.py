@@ -16,15 +16,12 @@ import numpy as np
 from .base import BaseForecaster, LagForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
-from .validation import check_fitted, check_positive_int
-
-DET_OPTIONS = ("none", "constant", "constant+trend")
+from .validation import DET_OPTIONS, check_fitted, check_hyperparameters, check_positive_int
 
 
 def _n_det_terms(det: str) -> int:
-    if det not in DET_OPTIONS:
-        raise ValueError(f"det must be one of {DET_OPTIONS}, got {det!r}")
-    return {"none": 0, "constant": 1, "constant+trend": 2}[det]
+    check_hyperparameters({"det": det})
+    return DET_OPTIONS.index(det)
 
 
 def _design(lags: np.ndarray, det: str, t_index: np.ndarray) -> np.ndarray:
@@ -87,11 +84,8 @@ class VarForecaster(LagForecaster):
         self.p = p
         self.det = det
 
-    def _check_params(self) -> tuple[int, int]:
-        return check_positive_int(self.p, "p"), _n_det_terms(self.det)
-
     def fit(self, data: Dataset) -> "VarForecaster":
-        p, n_det = self._check_params()
+        p, n_det = check_positive_int(self.p, "p"), _n_det_terms(self.det)
         T, N = data.values.shape
         if p >= T:
             raise ValueError(f"insufficient history: need T > p, got T={T}, p={p}")
