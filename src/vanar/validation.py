@@ -56,7 +56,8 @@ def check_same_length(a, b, names: str = "series") -> tuple[np.ndarray, np.ndarr
 def check_hyperparameters(params: dict) -> None:
     """The rules for the models' hyperparameters and training settings, applied to
     those in ``params`` (other names pass). ``TrainConfig`` runs them on its fields,
-    the estimators' ``fit`` on their own, and ``validate_config`` on model entries."""
+    ``VanarForecaster.fit`` on its own (``VarForecaster`` on its ``det``), and
+    ``validate_config`` on the values each model entry sets."""
     for name, value in params.items():
         if name not in ("epochs", "patience", "batch_size", "p", "embedding_dim", "hidden_dims",
                         "force_autoencoder", "validation_fraction", "learning_rate", "det"):

@@ -85,7 +85,8 @@ class VarForecaster(LagForecaster):
         self.det = det
 
     def fit(self, data: Dataset) -> "VarForecaster":
-        p, n_det = check_positive_int(self.p, "p"), _n_det_terms(self.det)
+        p = check_positive_int(self.p, "p")
+        n_det = _n_det_terms(self.det)
         T, N = data.values.shape
         if p >= T:
             raise ValueError(f"insufficient history: need T > p, got T={T}, p={p}")
