@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -112,3 +113,19 @@ class LagForecaster(BaseForecaster):
         t = history.n_obs + 1 + np.arange(h).reshape(-1, 1, 1)
         out = self._predict(lag_matrix(block, p)[:, None], t)[:, 0]
         return Dataset(self.names_, self._from_model(out))
+
+
+class FitCache(dict):
+    """Fitted models keyed by what decides a fit: the estimator's class and
+    ``get_params()``, and the training data's variable names and values.
+
+    ``fit`` fits each distinct key once and returns that same model object
+    for every later request, so its callers must not mutate what they get.
+    """
+
+    def fit(self, estimator: BaseForecaster, data: Dataset) -> BaseForecaster:
+        key = (type(estimator), repr(sorted(estimator.get_params().items())), data.names,
+               hashlib.sha1(np.ascontiguousarray(data.values)).hexdigest())
+        if key not in self:
+            self[key] = estimator.fit(data)
+        return self[key]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+from .base import FitCache
 from .dataset import Dataset, split_dataset
 from .metrics import rmse
 
@@ -80,14 +81,16 @@ def _horizon(data: Dataset, test_len: int, horizon: int | None) -> int:
     return test_len if horizon is None else min(horizon, test_len)
 
 
-def _fitter(data: Dataset, model_factory, test_len: int):
-    """``fit(variables, seed) -> (model, train, test)``, fitting each pair once."""
+def _fitter(data: Dataset, model_factory, test_len: int, cache: FitCache | None):
+    """``fit(variables, seed) -> (model, train, test)``, fitting each pair once, through
+    ``cache`` if given (without one, estimators need not be keyed by ``get_params``)."""
     train_len = data.n_obs - test_len
 
     @functools.cache
     def fit(variables: tuple[str, ...], seed) -> tuple:
         train, test = split_dataset(data.select(list(variables)), train_len, test_len)
-        return model_factory(list(variables), seed).fit(train), train, test
+        model = model_factory(list(variables), seed)
+        return (model.fit(train) if cache is None else cache.fit(model, train)), train, test
 
     return fit
 
@@ -118,6 +121,7 @@ def causality_score(
     test_len: int = 20,
     horizon: int | None = None,
     one_step: bool = False,
+    cache: FitCache | None = None,
 ) -> CausalityEdge:
     """Score the causal evidence of ``cause_vars`` on ``target``.
 
@@ -126,7 +130,8 @@ def causality_score(
     training budget (both come from ``model_factory(variables, seed)``) --
     and compares their test-block errors on the target. The reported edge
     is the seed with the median score, so the score identity holds
-    exactly. Several cause variables test their joint effect.
+    exactly. Several cause variables test their joint effect. Calls given
+    one ``FitCache`` as ``cache`` share their fits.
     """
     cause_vars = [cause_vars] if isinstance(cause_vars, str) else list(cause_vars)
     if target in cause_vars:
@@ -136,7 +141,7 @@ def causality_score(
     horizon = _horizon(data, test_len, horizon)
     # keep the dataset's own column order for reproducible designs
     full_vars = tuple(n for n in data.names if n in set(cause_vars) | {target})
-    fit = _fitter(data, model_factory, test_len)
+    fit = _fitter(data, model_factory, test_len, cache)
     return _score(fit, full_vars, "+".join(cause_vars), target, seeds, horizon, one_step)
 
 
@@ -148,18 +153,20 @@ def causality_graph(
     test_len: int = 20,
     horizon: int | None = None,
     one_step: bool = False,
+    cache: FitCache | None = None,
 ) -> CausalityGraph:
     """Pairwise scores in both directions between ``center`` and every other variable.
 
     No edges are computed among the non-center variables. The full
     (pair) model is fitted once per seed and reused for both directions
-    of that pair; rendered graphs keep only positive-score edges.
+    of that pair (``cache`` as in ``causality_score``); rendered graphs
+    keep only positive-score edges.
     """
     if data.n_vars < 2:
         raise ValueError("causality graph needs at least 2 variables")
     data.index_of(center)
     horizon = _horizon(data, test_len, horizon)
-    fit = _fitter(data, model_factory, test_len)
+    fit = _fitter(data, model_factory, test_len, cache)
     edges = []
     for other in data.names:
         if other == center:

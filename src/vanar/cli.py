@@ -122,15 +122,9 @@ def _add_fit_vanar(sub):
         data = read_csv(args.data)
         force = None if args.force_autoencoder is None else args.force_autoencoder == "on"
         model = VanarForecaster(
-            p=args.p,
-            p_max=args.p_max,
-            hidden_dims=tuple(args.hidden),
-            embedding_dim=args.embedding_dim,
-            force_autoencoder=force,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
+            p=args.p, p_max=args.p_max, hidden_dims=tuple(args.hidden),
+            embedding_dim=args.embedding_dim, force_autoencoder=force, epochs=args.epochs,
+            batch_size=args.batch_size, learning_rate=args.learning_rate, seed=args.seed,
         ).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         if args.loss_history:
@@ -274,14 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "causality, and impulse-response analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_simulate(sub)
-    _add_fit_var(sub)
-    _add_fit_vanar(sub)
-    _add_forecast(sub)
-    _add_granger(sub)
-    _add_irf(sub)
-    _add_run(sub)
-    _add_ingest(sub)
+    for add in (_add_simulate, _add_fit_var, _add_fit_vanar, _add_forecast, _add_granger,
+                _add_irf, _add_run, _add_ingest):
+        add(sub)
     return parser
 
 

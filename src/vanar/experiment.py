@@ -12,7 +12,6 @@ byte.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Callable
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .base import FitCache
 from .causality import causality_graph, rolling_one_step
 from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_table
 from .impulse import _shocked_and_unshocked
@@ -30,7 +30,7 @@ from .metrics import rmse, rmsse
 from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
-from .validation import check_hyperparameters, check_positive_int
+from .validation import check_fit_rows, check_hyperparameters, check_positive_int
 from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
@@ -279,28 +279,31 @@ def write_irf_csv(model, base: Dataset, shock_var: str, epsilon: float, horizon:
     write_table(path, header, table.tolist())
 
 
-def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
+def _model_runs(cfg, train, test, p, cache):
+    """Per model entry and variable: (entry index, variable, one (model, train, test)
+    per seed), the model fitted through ``cache`` on the rows it sees: every variable
+    for a multivariate kind, else the one variable."""
+    seeds = cfg.get("seeds", [0])
+    for i, entry in enumerate(cfg["models"]):
+        kind = MODEL_KINDS[entry["kind"]]
+        for var in train.names:
+            names = train.names if kind.multivariate else [var]
+            fit_train, fit_test = train.select(names), test.select(names)
+            yield i, var, [(cache.fit(kind.build(entry, p, seed), fit_train), fit_train, fit_test)
+                           for seed in (seeds if kind.stochastic else seeds[:1])]
+
+
+def _forecast_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     """Appendix-style tables: one CSV per variable, rows = horizon, cols = model."""
     horizons = sorted({min(10, test.n_obs), test.n_obs})
-    seeds = cfg.get("seeds", [0])
-    per_var: dict[str, dict[str, dict[int, float]]] = {
-        v: {} for v in data.names
-    }
-    for entry in cfg["models"]:
-        kind = MODEL_KINDS[entry["kind"]]
-        label = _model_label(entry)
-        model_seeds = seeds if kind.stochastic else seeds[:1]
-        for var in data.names:
-            fit_train = train if kind.multivariate else train.select([var])
-            errs: dict[int, list[float]] = {h: [] for h in horizons}
-            for seed in model_seeds:
-                model = kind.build(entry, p, seed).fit(fit_train)
-                pred = model.forecast(fit_train, test.n_obs)
-                for h in horizons:
-                    errs[h].append(rmse(pred.column(var)[:h], test.column(var)[:h]))
-            per_var[var][label] = {h: float(np.median(errs[h])) for h in horizons}
-    paths = []
     labels = [_model_label(e) for e in cfg["models"]]
+    per_var: dict[str, dict[str, dict[int, float]]] = {v: {} for v in data.names}
+    for i, var, fits in _model_runs(cfg, train, test, p, cache):
+        preds = [model.forecast(fit_train, test.n_obs).column(var) for model, fit_train, _ in fits]
+        per_var[var][labels[i]] = {
+            h: float(np.median([rmse(pred[:h], test.column(var)[:h]) for pred in preds]))
+            for h in horizons}
+    paths = []
     for var in data.names:
         rows = [[h] + [per_var[var][label][h] for label in labels] for h in horizons]
         path = out_dir / f"forecast_{var}.csv"
@@ -309,7 +312,7 @@ def _forecast_task(cfg, data, train, test, p, out_dir) -> list[Path]:
     return paths
 
 
-def _granger_task(cfg, data, p, out_dir) -> list[Path]:
+def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     seeds = cfg.get("seeds", [0])
     gcfg = cfg.get("granger", {})
     center = gcfg.get("center", data.names[0])
@@ -327,6 +330,7 @@ def _granger_task(cfg, data, p, out_dir) -> list[Path]:
             test_len=test_len,
             horizon=gcfg.get("horizon"),
             one_step=gcfg.get("one_step", False),
+            cache=cache,
         )
         path = out_dir / f"granger_{_model_label(entry)}.csv"
         write_granger_csv(graph, path)
@@ -334,56 +338,42 @@ def _granger_task(cfg, data, p, out_dir) -> list[Path]:
     return paths
 
 
-def _irf_task(cfg, data, train, p, out_dir) -> list[Path]:
+def _irf_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     icfg = cfg.get("irf", {})
     shock_var = icfg.get("shock_var", data.names[-1])
     epsilon = float(icfg.get("epsilon", 0.1))
     horizon = int(icfg.get("horizon", 20))
     seed = cfg.get("seeds", [0])[0]
-    # fitted as the loop reaches them, so a failing fit leaves the files before it
-    forecasters = (
-        (_model_label(entry), MODEL_KINDS[entry["kind"]].build(entry, p, seed).fit(train), train)
-        for entry in cfg["models"] if MODEL_KINDS[entry["kind"]].multivariate
-    )
+    paths = []
+    for entry in cfg["models"]:  # each file written once its model is fitted
+        kind = MODEL_KINDS[entry["kind"]]
+        if kind.multivariate:
+            paths.append(out_dir / f"irf_{_model_label(entry)}.csv")
+            write_irf_csv(cache.fit(kind.build(entry, p, seed), train), train, shock_var, epsilon,
+                          horizon, paths[-1])
     if cfg["system"] == "system1":
         # the truth continues the state the system was in, not its noisy observation:
         # the data's trajectory before simulate_scenario adds the noise
         spec, x0, n = _system1_recipe(cfg)
         clean = simulate_system1(spec.params(), x0=x0, n=n).rows(0, train.n_obs)
-        forecasters = itertools.chain(forecasters, [("true", TrueSystem(spec.params()), clean)])
-    paths = []
-    for label, model, base in forecasters:
-        path = out_dir / f"irf_{label}.csv"
-        write_irf_csv(model, base, shock_var, epsilon, horizon, path)
-        paths.append(path)
+        paths.append(out_dir / "irf_true.csv")
+        write_irf_csv(TrueSystem(spec.params()), clean, shock_var, epsilon, horizon, paths[-1])
     return paths
 
 
-def _one_step_task(cfg, data, train, test, p, out_dir) -> list[Path]:
+def _one_step_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     """Rolling one-step scaled errors (and raw RMSE) per variable and model."""
-    seeds = cfg.get("seeds", [0])
-    labels = [_model_label(e) for e in cfg["models"]]
-    rows = []
-    for var in data.names:
-        cells_rmsse, cells_rmse = [], []
-        for entry in cfg["models"]:
-            kind = MODEL_KINDS[entry["kind"]]
-            fit_train = train if kind.multivariate else train.select([var])
-            fit_test = test if kind.multivariate else test.select([var])
-            model_seeds = seeds if kind.stochastic else seeds[:1]
-            scaled, raw = [], []
-            for seed in model_seeds:
-                model = kind.build(entry, p, seed).fit(fit_train)
-                pred = rolling_one_step(model, fit_train, fit_test)
-                last_train = train.column(var)[-1]
-                scaled.append(rmsse(pred.column(var), test.column(var), last_train))
-                raw.append(rmse(pred.column(var), test.column(var)))
-            cells_rmsse.append(float(np.median(scaled)))
-            cells_rmse.append(float(np.median(raw)))
-        rows.append([var, "rmsse"] + cells_rmsse)
-        rows.append([var, "rmse"] + cells_rmse)
+    cells = {}
+    for i, var, fits in _model_runs(cfg, train, test, p, cache):
+        preds = [rolling_one_step(*fit).column(var) for fit in fits]
+        actual, last_train = test.column(var), train.column(var)[-1]
+        cells[var, i] = (float(np.median([rmsse(pred, actual, last_train) for pred in preds])),
+                         float(np.median([rmse(pred, actual) for pred in preds])))
+    models = range(len(cfg["models"]))
+    rows = [[var, metric] + [cells[var, i][m] for i in models]
+            for var in data.names for m, metric in enumerate(("rmsse", "rmse"))]
     path = out_dir / "onestep.csv"
-    write_table(path, ["variable", "metric"] + labels, rows)
+    write_table(path, ["variable", "metric"] + [_model_label(e) for e in cfg["models"]], rows)
     return [path]
 
 
@@ -406,6 +396,17 @@ def run(cfg: dict, out_dir) -> dict:
     train, test = split_dataset(data, env["train_len"], env["test_len"])
     tasks = cfg.get("tasks", [])
     p = _resolve_p(cfg, train) if cfg.get("models") else None
+    short = []  # lag orders the training rows cannot fit fail before any output
+    for i, entry in enumerate(cfg.get("models", [])):
+        kind, lag = MODEL_KINDS[entry["kind"]], entry.get("p", p)
+        if "p" in kind.options and lag is not None:
+            try:
+                check_fit_rows(train.n_obs, train.n_vars if kind.multivariate else 1, lag,
+                               entry.get("det", "none") if "det" in kind.options else None)
+            except ValueError as exc:
+                short.append(f"models[{i}]: {exc}")
+    if short:
+        raise ConfigError(short)
 
     manifest = {
         "config": echo,
@@ -423,15 +424,12 @@ def run(cfg: dict, out_dir) -> dict:
 
     outputs: list[Path] = []
     failures: dict[str, str] = {}
-    runners = {
-        "forecast": lambda: _forecast_task(cfg, data, train, test, p, out_dir),
-        "granger": lambda: _granger_task(cfg, data, p, out_dir),
-        "irf": lambda: _irf_task(cfg, data, train, p, out_dir),
-        "one-step": lambda: _one_step_task(cfg, data, train, test, p, out_dir),
-    }
+    cache = FitCache()  # the run's fit plan: the tasks share each distinct fit
+    runners = {"forecast": _forecast_task, "granger": _granger_task, "irf": _irf_task,
+               "one-step": _one_step_task}
     for task in tasks:
         try:
-            outputs += runners[task]()
+            outputs += runners[task](cfg, data, train, test, p, out_dir, cache)
         except Exception as exc:  # report per task, keep running the rest
             failures[task] = str(exc)
     if failures:

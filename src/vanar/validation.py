@@ -21,20 +21,22 @@ def check_matrix(values, name: str = "values") -> np.ndarray:
     return arr
 
 
-def check_vector(values, name: str = "values") -> np.ndarray:
-    """Coerce to a 1-D float64 array with no NaN/inf entries."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return arr
-
-
 def check_positive_int(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
+
+
+def check_fit_rows(n_obs: int, n_vars: int, p: int, det: str | None = None) -> None:
+    """Raise unless ``n_obs`` rows can fit lag order ``p`` on ``n_vars`` variables: a VAR
+    with deterministic terms ``det`` needs more target rows (T - p) than the N*p + n_det
+    coefficients of each equation, a neural fit (``det`` None) two target rows."""
+    need = p + 1 + (1 if det is None else n_vars * p + DET_OPTIONS.index(det))
+    if n_obs < need:
+        raise ValueError(f"insufficient history: lag order {p} on {n_vars} variable(s) "
+                         f"needs {need} rows, got {n_obs}")
 
 
 def check_fitted(estimator, attribute: str) -> None:
@@ -46,8 +48,11 @@ def check_fitted(estimator, attribute: str) -> None:
 
 
 def check_same_length(a, b, names: str = "series") -> tuple[np.ndarray, np.ndarray]:
-    a = check_vector(a, "first " + names)
-    b = check_vector(b, "second " + names)
+    """Both coerced to 1-D float64 arrays of one length with no NaN/inf entries."""
+    a, b = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (a, b))
+    for which, arr in (("first", a), ("second", b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{which} {names} contains NaN or infinite entries")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"{names} must have equal length, got {a.shape[0]} and {b.shape[0]}")
     return a, b

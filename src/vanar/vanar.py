@@ -21,7 +21,7 @@ from .base import LagForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, build_lag_design
-from .validation import check_fitted, check_hyperparameters, check_positive_int
+from .validation import check_fit_rows, check_fitted, check_hyperparameters, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
@@ -197,21 +197,16 @@ class VanarForecaster(LagForecaster):
 
     def fit(self, data: Dataset) -> "VanarForecaster":
         check_hyperparameters(vars(self))
-        p = self.p
-        if p is None:
-            p = select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs))
-        p = int(p)
+        p = int(self.p if self.p is not None else
+                select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs)))
         T, N = data.values.shape
-        if T <= p + 1:
-            raise ValueError(f"insufficient history: T={T} too small for p={p}")
+        check_fit_rows(T, N, p)
 
         self.scaler_ = StandardScaler().fit(data.values)
         scaled = data.with_values(self.scaler_.transform(data.values))
         design = build_lag_design(scaled, p)
 
-        emb = self.embedding_dim
-        if emb is None:
-            emb = max(2, (p * N) // 4)
+        emb = self.embedding_dim or max(2, (p * N) // 4)  # None picks the default
 
         use_ae = self.force_autoencoder
         if p < MIN_AUTOENCODER_LAG:
@@ -245,11 +240,9 @@ class VanarForecaster(LagForecaster):
 
     def _fit_heads(self, inputs, targets, n_vars, ae_tag):
         """One head per variable; returns (heads, histories, mean validation MSE)."""
-        heads = []
-        histories = []
-        width_in = inputs.shape[1]
+        heads, histories = [], []
         for j in range(n_vars):
-            net = Mlp([width_in, *self.hidden_dims, 1])
+            net = Mlp([inputs.shape[1], *self.hidden_dims, 1])
             cfg = self._train_config(_head_seed(self.seed, 1 + ae_tag, j))
             net, history = train(net, inputs, targets[:, j : j + 1], cfg)
             heads.append(net)

@@ -16,7 +16,9 @@ import numpy as np
 from .base import BaseForecaster, LagForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
-from .validation import DET_OPTIONS, check_fitted, check_hyperparameters, check_positive_int
+from .validation import (
+    DET_OPTIONS, check_fit_rows, check_fitted, check_hyperparameters, check_positive_int,
+)
 
 
 def _n_det_terms(det: str) -> int:
@@ -88,12 +90,7 @@ class VarForecaster(LagForecaster):
         p = check_positive_int(self.p, "p")
         n_det = _n_det_terms(self.det)
         T, N = data.values.shape
-        if p >= T:
-            raise ValueError(f"insufficient history: need T > p, got T={T}, p={p}")
-        if T - p <= N * p + n_det:
-            raise ValueError(
-                f"not identifiable: T - p = {T - p} rows for {N * p + n_det} coefficients"
-            )
+        check_fit_rows(T, N, p, self.det)
         design = _design(lag_matrix(data.values, p), self.det, np.arange(p + 1, T + 1))
         B, resid = _solve_ols(design, data.values[p:])
 
@@ -185,8 +182,9 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
 
     All candidates are fitted on the common effective sample (target rows
     p_max+1..T) so their criteria are comparable; ties break toward the
-    smaller order. Candidates whose design is singular are skipped;
-    if every candidate fails an error is raised.
+    smaller order. Candidates with no residual degrees of freedom on the
+    common sample, or a singular design, are skipped; if every candidate
+    fails an error is raised.
     """
     check_positive_int(p_max, "p_max")
     T, N = data.values.shape
@@ -201,6 +199,7 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     for p in range(1, p_max + 1):
         design = _design(lag_matrix(data.values, p)[p_max - p :], det, t_index)
         try:
+            check_fit_rows(T - (p_max - p), N, p, det)  # the common sample: fit sees more rows
             _, resid = _solve_ols(design, targets)
             aic = _aic(resid, N * N * p + N * n_det)
         except ValueError as exc:

@@ -144,6 +144,22 @@ class TestConfigValidation:
         assert len(exc.value.problems) == 3
         assert not (tmp_path / "out").exists()
 
+    def test_lag_order_too_large_for_train_len_fails_before_the_manifest(self, tmp_path):
+        cfg = load_preset("default-low")
+        cfg["p"] = 30  # 50 training rows: VAR(30) on two variables needs 92
+        with pytest.raises(ConfigError, match="insufficient history") as exc:
+            run(cfg, tmp_path / "out")
+        assert len(exc.value.problems) == 2  # var and ar; vanar and ana need 32 rows
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_model_lag_order_checked_by_its_kind(self, tmp_path):
+        models = [{"kind": "var", "p": 20}, {"kind": "vanar", "p": 40}, {"kind": "ana", "p": 49}]
+        cfg = fast_config(environment={"train_len": 50, "test_len": 10}, models=models)
+        with pytest.raises(ConfigError) as exc:
+            run(cfg, tmp_path / "out")
+        assert [p.split(":")[0] for p in exc.value.problems] == ["models[0]", "models[2]"]
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run({"system": "nope"}, tmp_path / "out")
@@ -337,6 +353,14 @@ class TestCliProcess:
         assert main(["simulate", "--n", "24", "--out", str(sim)]) == 0
         assert main(["fit-var", "--data", str(sim), "--out", str(model)]) == 0
         assert 1 <= json.loads(model.read_text())["p"] <= 8
+
+    def test_fit_var_short_series_with_trend(self, tmp_path):
+        # 41 rows: AIC must not pick p_max = 13, which leaves no residual degrees of freedom
+        sim, model = tmp_path / "sim.csv", tmp_path / "var.json"
+        assert main(["simulate", "--n", "40", "--out", str(sim)]) == 0
+        assert main(["fit-var", "--data", str(sim), "--det", "constant+trend",
+                     "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["p"] == 12
 
     def test_granger_short_series(self, tmp_path):
         # 21 training rows: the default p_max 15 is capped as in `vanar run`

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from vanar import Dataset, VarForecaster, fit_var_ols, select_lag_aic
+from vanar import Dataset, VarForecaster, fit_var_ols, select_lag_aic, simulate_system1
+from vanar.var import capped_p_max
 
 PHI = np.array([[0.5, 0.1], [0.0, 0.3]])
 
@@ -155,6 +156,20 @@ class TestLagSelection:
     def test_p_max_too_large(self):
         with pytest.raises(ValueError, match="p_max"):
             select_lag_aic(simulate_var2(40, seed=0), 25)
+
+    @pytest.mark.parametrize("T,det,expected", [(31, "constant", 9), (41, "constant+trend", 12)])
+    def test_short_series_order_is_fittable(self, T, det, expected):
+        # p_max itself leaves as many common-sample rows as coefficients: its residuals
+        # are rounding noise, so its AIC would win, and fit rejects it on the full sample
+        data = simulate_system1(n=T - 1)
+        p_max = capped_p_max(15, T)
+        p = select_lag_aic(data, p_max, det=det)
+        assert p == expected == p_max - 1
+        assert VarForecaster(p=p, det=det).fit(data).p_ == p
+
+    def test_order_fit_rejects_is_an_error(self):
+        with pytest.raises(ValueError, match="insufficient history: lag order 10 on 2"):
+            VarForecaster(p=10, det="constant").fit(simulate_system1(n=30))
 
 
 class TestForecast:
