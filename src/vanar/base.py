@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .preprocessing import lag_matrix, recurse
-from .validation import check_fitted, check_positive_int
+from .validation import check_fit_rows, check_fitted, check_positive_int
 
 
 class BaseForecaster:
@@ -85,6 +85,12 @@ class LagForecaster(BaseForecaster):
     that broadcast against them, both in the model's own units, which ``_to_model``
     and ``_from_model`` map rows of values into and out of (the identity here).
     """
+
+    det = None  # deterministic terms, in ``check_fit_rows``' sense; a VAR sets its own
+
+    def _check_rows(self, n_obs: int, n_vars: int, p: int) -> None:
+        """``fit``'s sample-size rule: raise unless ``n_obs`` rows can fit lag order ``p``."""
+        check_fit_rows(n_obs, n_vars, p, self.det)
 
     def _to_model(self, values: np.ndarray) -> np.ndarray:
         return values

@@ -10,7 +10,6 @@ overfitting.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .base import FitCache
@@ -82,15 +81,14 @@ def _horizon(data: Dataset, test_len: int, horizon: int | None) -> int:
 
 
 def _fitter(data: Dataset, model_factory, test_len: int, cache: FitCache | None):
-    """``fit(variables, seed) -> (model, train, test)``, fitting each pair once, through
-    ``cache`` if given (without one, estimators need not be keyed by ``get_params``)."""
+    """``fit(variables, seed) -> (model, train, test)``, fitting each distinct model once
+    through ``cache``, or through a cache of its own if none is given."""
     train_len = data.n_obs - test_len
+    cache = FitCache() if cache is None else cache
 
-    @functools.cache
     def fit(variables: tuple[str, ...], seed) -> tuple:
         train, test = split_dataset(data.select(list(variables)), train_len, test_len)
-        model = model_factory(list(variables), seed)
-        return (model.fit(train) if cache is None else cache.fit(model, train)), train, test
+        return cache.fit(model_factory(list(variables), seed), train), train, test
 
     return fit
 
@@ -157,10 +155,10 @@ def causality_graph(
 ) -> CausalityGraph:
     """Pairwise scores in both directions between ``center`` and every other variable.
 
-    No edges are computed among the non-center variables. The full
-    (pair) model is fitted once per seed and reused for both directions
-    of that pair (``cache`` as in ``causality_score``); rendered graphs
-    keep only positive-score edges.
+    No edges are computed among the non-center variables. Each full
+    (pair) model is fitted once and reused for both directions of that
+    pair (``cache`` as in ``causality_score``); rendered graphs keep only
+    positive-score edges.
     """
     if data.n_vars < 2:
         raise ValueError("causality graph needs at least 2 variables")

@@ -103,29 +103,31 @@ def _add_fit_var(sub):
 
 
 def _add_fit_vanar(sub):
-    p = sub.add_parser("fit-vanar", help="fit a neural autoregression")
+    # a model flag left out is not passed on, so the estimator keeps its own default
+    p = sub.add_parser("fit-vanar", help="fit a neural autoregression",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--p", type=int, default=None, help="lag order (default: AIC)")
-    p.add_argument("--p-max", type=int, default=15)
-    p.add_argument("--hidden", type=int, nargs="+", default=[256, 256])
-    p.add_argument("--embedding-dim", type=int, default=None)
-    p.add_argument("--force-autoencoder", choices=("on", "off"), default=None)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=int, help="lag order (default: AIC)")
+    p.add_argument("--p-max", type=int)
+    p.add_argument("--hidden", dest="hidden_dims", type=int, nargs="+")
+    p.add_argument("--embedding-dim", type=int)
+    p.add_argument("--force-autoencoder", choices=("on", "off"))
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--loss-history", default=None,
                    help="optional CSV of per-epoch train/validation losses per head")
 
     def cmd(args):
         data = read_csv(args.data)
-        force = None if args.force_autoencoder is None else args.force_autoencoder == "on"
-        model = VanarForecaster(
-            p=args.p, p_max=args.p_max, hidden_dims=tuple(args.hidden),
-            embedding_dim=args.embedding_dim, force_autoencoder=force, epochs=args.epochs,
-            batch_size=args.batch_size, learning_rate=args.learning_rate, seed=args.seed,
-        ).fit(data)
+        opts = {k: v for k, v in vars(args).items() if k in VanarForecaster._param_names()}
+        if "hidden_dims" in opts:
+            opts["hidden_dims"] = tuple(opts["hidden_dims"])
+        if "force_autoencoder" in opts:
+            opts["force_autoencoder"] = opts["force_autoencoder"] == "on"
+        model = VanarForecaster(**opts).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         if args.loss_history:
             rows = [
@@ -180,8 +182,7 @@ def _add_granger(sub):
         kind, entry = MODEL_KINDS[args.model], {"kind": args.model}
         graph = causality_graph(
             data, center, lambda variables, seed: kind.build(entry, p_order, seed),
-            seeds=args.seeds if kind.stochastic else args.seeds[:1],
-            test_len=args.test_len, one_step=args.one_step,
+            seeds=args.seeds, test_len=args.test_len, one_step=args.one_step,
         )
         write_granger_csv(graph, args.out)
         causal = [f"{e.source}->{e.target}" for e in graph.positive_edges()]

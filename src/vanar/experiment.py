@@ -11,11 +11,9 @@ byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -30,57 +28,52 @@ from .metrics import rmse, rmsse
 from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
-from .validation import check_fit_rows, check_hyperparameters, check_positive_int
+from .validation import check_hyperparameters, check_positive_int
 from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 TASKS = ("forecast", "granger", "irf", "one-step")
 
-_VAR_OPTS = ("p", "det")
-_VANAR_OPTS = (
-    "p", "hidden_dims", "embedding_dim", "force_autoencoder", "epochs",
-    "batch_size", "learning_rate", "patience", "validation_fraction",
-)
-
-
-def _linear(entry: dict, p: int, seed: int) -> VarForecaster:
-    return VarForecaster(p=entry.get("p", p), det=entry.get("det", "none"))
-
-
-def _neural(entry: dict, p: int, seed: int, **defaults) -> VanarForecaster:
-    opts = {**defaults, **{k: entry[k] for k in _VANAR_OPTS if k in entry}}
-    opts.setdefault("p", p)
-    if isinstance(opts.get("hidden_dims"), list):
-        opts["hidden_dims"] = tuple(opts["hidden_dims"])
-    return VanarForecaster(seed=seed, **opts)
-
-
 @dataclass(frozen=True)
 class ModelKind:
     """What the runner knows about one ``models[].kind``.
 
+    estimator: the estimator class.
     multivariate: fitted on all variables at once, else on each one alone.
-    stochastic: fitted once per run seed, else once.
-    options: the entry keys it accepts besides ``kind`` and ``label``.
-    build: ``(entry, p, seed) -> unfitted estimator``, p the run's lag order.
+    defaults: constructor arguments that differ from the class's own defaults.
+    options: the entry keys it accepts besides ``kind`` and ``label``, which are
+    the constructor's arguments except ``seed`` and ``p_max``.
     """
 
+    estimator: type
     multivariate: bool
-    stochastic: bool
-    options: tuple[str, ...]
-    build: Callable[[dict, int, int], object]
+    defaults: dict = field(default_factory=dict)
+    options: tuple[str, ...] = field(init=False)
+    _args: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        args = tuple(name for name in self.estimator._param_names() if name != "p_max")
+        object.__setattr__(self, "_args", args)
+        object.__setattr__(self, "options", tuple(name for name in args if name != "seed"))
+
+    def build(self, entry: dict, p: int, seed: int):
+        """Unfitted estimator for a validated model entry: the entry's options over the
+        kind's defaults, the run's lag order ``p`` unless the entry sets one, and the
+        run's ``seed`` if the estimator takes one."""
+        opts = {"p": p, "seed": seed, **self.defaults, **entry}
+        if isinstance(opts.get("hidden_dims"), list):
+            opts["hidden_dims"] = tuple(opts["hidden_dims"])
+        return self.estimator(**{name: opts[name] for name in self._args if name in opts})
 
 
 MODEL_KINDS = {
-    "var": ModelKind(True, False, _VAR_OPTS, _linear),
-    "ar": ModelKind(False, False, _VAR_OPTS, _linear),
-    "vanar": ModelKind(True, True, _VANAR_OPTS, _neural),
-    "ana": ModelKind(False, True, _VANAR_OPTS, _neural),
-    "naive": ModelKind(False, False, (), lambda entry, p, seed: NaiveForecaster()),
-    "mlp-baseline": ModelKind(
-        False, True, _VANAR_OPTS,
-        functools.partial(_neural, hidden_dims=[256], force_autoencoder=False),
-    ),
+    "var": ModelKind(VarForecaster, True),
+    "ar": ModelKind(VarForecaster, False),
+    "vanar": ModelKind(VanarForecaster, True),
+    "ana": ModelKind(VanarForecaster, False),
+    "naive": ModelKind(NaiveForecaster, False),
+    "mlp-baseline": ModelKind(VanarForecaster, False,
+                              {"hidden_dims": (256,), "force_autoencoder": False}),
 }
 
 # the bundled {kind}-{environment} grid: training rows per environment
@@ -290,7 +283,7 @@ def _model_runs(cfg, train, test, p, cache):
             names = train.names if kind.multivariate else [var]
             fit_train, fit_test = train.select(names), test.select(names)
             yield i, var, [(cache.fit(kind.build(entry, p, seed), fit_train), fit_train, fit_test)
-                           for seed in (seeds if kind.stochastic else seeds[:1])]
+                           for seed in seeds]
 
 
 def _forecast_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
@@ -326,7 +319,7 @@ def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
             data,
             center,
             lambda variables, seed: kind.build(entry, p, seed),
-            seeds=seeds if kind.stochastic else seeds[:1],
+            seeds=seeds,
             test_len=test_len,
             horizon=gcfg.get("horizon"),
             one_step=gcfg.get("one_step", False),
@@ -398,11 +391,11 @@ def run(cfg: dict, out_dir) -> dict:
     p = _resolve_p(cfg, train) if cfg.get("models") else None
     short = []  # lag orders the training rows cannot fit fail before any output
     for i, entry in enumerate(cfg.get("models", [])):
-        kind, lag = MODEL_KINDS[entry["kind"]], entry.get("p", p)
-        if "p" in kind.options and lag is not None:
+        kind = MODEL_KINDS[entry["kind"]]
+        model = kind.build(entry, p, 0)
+        if getattr(model, "p", None) is not None:
             try:
-                check_fit_rows(train.n_obs, train.n_vars if kind.multivariate else 1, lag,
-                               entry.get("det", "none") if "det" in kind.options else None)
+                model._check_rows(train.n_obs, train.n_vars if kind.multivariate else 1, model.p)
             except ValueError as exc:
                 short.append(f"models[{i}]: {exc}")
     if short:

@@ -17,6 +17,7 @@ import numpy as np
 from .validation import check_hyperparameters
 
 ACTIVATIONS = ("relu", "linear")
+ADAGRAD_EPSILON = 1e-8  # added to the root of each AdaGrad accumulator before dividing
 
 
 class Mlp:
@@ -175,7 +176,7 @@ class AdaGradState:
     back to the system and faulted in again on every step.
     """
 
-    def __init__(self, params, learning_rate: float, epsilon: float = 1e-8):
+    def __init__(self, params, learning_rate: float, epsilon: float = ADAGRAD_EPSILON):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if epsilon < 0:
@@ -218,7 +219,6 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.1
     patience: int = 20
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         check_hyperparameters(vars(self))
@@ -262,7 +262,7 @@ def train(net: Mlp, inputs, targets, cfg: TrainConfig) -> tuple[Mlp, TrainResult
     X_val, Y_val = X[n - n_val :], Y[n - n_val :]
     has_val = n_val > 0
 
-    opt = AdaGradState(net.parameters(), cfg.learning_rate, cfg.epsilon)
+    opt = AdaGradState(net.parameters(), cfg.learning_rate)
     best_val = math.inf
     best_params = None
     stale = 0

@@ -21,7 +21,7 @@ from .base import LagForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, build_lag_design
-from .validation import check_fit_rows, check_fitted, check_hyperparameters, check_positive_int
+from .validation import check_fitted, check_hyperparameters, check_positive_int
 from .var import capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
@@ -200,7 +200,7 @@ class VanarForecaster(LagForecaster):
         p = int(self.p if self.p is not None else
                 select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs)))
         T, N = data.values.shape
-        check_fit_rows(T, N, p)
+        self._check_rows(T, N, p)
 
         self.scaler_ = StandardScaler().fit(data.values)
         scaled = data.with_values(self.scaler_.transform(data.values))

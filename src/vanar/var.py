@@ -17,7 +17,7 @@ from .base import BaseForecaster, LagForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
-    DET_OPTIONS, check_fit_rows, check_fitted, check_hyperparameters, check_positive_int,
+    DET_OPTIONS, check_fitted, check_hyperparameters, check_positive_int,
 )
 
 
@@ -90,7 +90,7 @@ class VarForecaster(LagForecaster):
         p = check_positive_int(self.p, "p")
         n_det = _n_det_terms(self.det)
         T, N = data.values.shape
-        check_fit_rows(T, N, p, self.det)
+        self._check_rows(T, N, p)
         design = _design(lag_matrix(data.values, p), self.det, np.arange(p + 1, T + 1))
         B, resid = _solve_ols(design, data.values[p:])
 
@@ -182,9 +182,9 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
 
     All candidates are fitted on the common effective sample (target rows
     p_max+1..T) so their criteria are comparable; ties break toward the
-    smaller order. Candidates with no residual degrees of freedom on the
-    common sample, or a singular design, are skipped; if every candidate
-    fails an error is raised.
+    smaller order. Candidates with fewer residual degrees of freedom on the
+    common sample than variables (a singular residual covariance), or a
+    singular design, are skipped; if every candidate fails an error is raised.
     """
     check_positive_int(p_max, "p_max")
     T, N = data.values.shape
@@ -199,7 +199,8 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     for p in range(1, p_max + 1):
         design = _design(lag_matrix(data.values, p)[p_max - p :], det, t_index)
         try:
-            check_fit_rows(T - (p_max - p), N, p, det)  # the common sample: fit sees more rows
+            if len(targets) - design.shape[1] < N:  # singular N x N residual covariance
+                raise ValueError(f"fewer residual degrees of freedom than the {N} variables")
             _, resid = _solve_ols(design, targets)
             aic = _aic(resid, N * N * p + N * n_det)
         except ValueError as exc:

@@ -64,11 +64,11 @@ class TestScore:
         class Jittered(VarForecaster):
             def __init__(self, seed):
                 super().__init__(p=2)
-                self.jitter_seed = seed
+                self.seed = seed
 
             def forecast(self, history, h):
                 fc = super().forecast(history, h)
-                rng = np.random.default_rng(self.jitter_seed)
+                rng = np.random.default_rng(self.seed)
                 return Dataset(fc.names, fc.values + rng.normal(0, 0.05, fc.values.shape))
 
         def factory(variables, seed):

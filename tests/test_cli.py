@@ -308,6 +308,19 @@ class TestCliProcess:
         doc = json.loads(model.read_text())
         assert doc["model"] == "vanar" and doc["p"] == 2
 
+    def test_fit_vanar_defaults_are_the_estimators(self, tmp_path, monkeypatch):
+        sim = tmp_path / "sim.csv"
+        main(["simulate", "--n", "50", "--out", str(sim)])
+        built = []
+
+        def fit(self, data):
+            built.append(self.get_params())
+            raise ValueError("not fitted")
+
+        monkeypatch.setattr(VanarForecaster, "fit", fit)
+        assert main(["fit-vanar", "--data", str(sim), "--out", str(tmp_path / "m.json")]) == 1
+        assert built == [VanarForecaster().get_params()]
+
     def test_fit_vanar_loss_history_reads_back(self, tmp_path):
         sim, model, losses = tmp_path / "sim.csv", tmp_path / "vanar.json", tmp_path / "loss.csv"
         main(["simulate", "--n", "150", "--out", str(sim)])

@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from vanar import VanarForecaster, VarForecaster, causality_graph, simulate_system1
+from vanar import (
+    VanarForecaster, VarForecaster, causality_graph, causality_score, simulate_system1,
+)
 from vanar.base import FitCache
 from vanar.experiment import TASKS, load_preset, run
 
@@ -78,6 +80,30 @@ def test_graphs_share_a_cache(fits):
     assert len(fits) == n_fits == len(cache) == 6  # the pair and each variable alone, per seed
     plain = [causality_graph(data, "x", factory, **kwargs) for _ in range(2)]
     assert first.edges == second.edges == plain[0].edges == plain[1].edges
+
+
+def test_a_seedless_model_is_fitted_once_for_all_seeds(fits):
+    data = simulate_system1(n=99)
+    causality_score(data, ["x"], "y", lambda variables, seed: VarForecaster(p=2), seeds=(0, 1, 2))
+    assert len(fits) == 2  # the pair and y alone
+
+
+def test_seedless_models_report_the_same_for_any_seeds(tmp_path):
+    def config(seeds):
+        return {
+            "system": "system1",
+            "scenario": {"kind": "noise2", "seed": 0},
+            "environment": {"train_len": 120, "test_len": 20},
+            "models": [{"kind": "var"}, {"kind": "ar"}, {"kind": "naive"}],
+            "tasks": list(TASKS),
+            "seeds": seeds,
+            "p": 3,
+        }
+
+    one = csv_files(run(config([0]), tmp_path / "one")["manifest"].parent)
+    three = csv_files(run(config([0, 1, 2]), tmp_path / "three")["manifest"].parent)
+    assert len(one) == 6
+    assert one == three
 
 
 def test_cache_keys_on_params_and_values():

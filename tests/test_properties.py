@@ -14,7 +14,7 @@ from vanar import (
     Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
     concat_datasets, impulse_path, impulse_response, rolling_one_step, simulate_system1,
 )
-from vanar.network import AdaGradState, Mlp, TrainConfig, train
+from vanar.network import ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
 
@@ -331,7 +331,7 @@ def _reference_train(net, X, Y, cfg):
         for start in range(0, len(X), cfg.batch_size):
             take = order[start : start + cfg.batch_size]
             _, grads = net.loss_and_gradients(X[take], Y[take])
-            _reference_step(params, accumulators, grads, cfg.learning_rate, cfg.epsilon)
+            _reference_step(params, accumulators, grads, cfg.learning_rate, ADAGRAD_EPSILON)
     return params
 
 

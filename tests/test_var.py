@@ -157,10 +157,12 @@ class TestLagSelection:
         with pytest.raises(ValueError, match="p_max"):
             select_lag_aic(simulate_var2(40, seed=0), 25)
 
-    @pytest.mark.parametrize("T,det,expected", [(31, "constant", 9), (41, "constant+trend", 12)])
+    @pytest.mark.parametrize("T,det,expected",
+                             [(31, "constant", 9), (41, "constant+trend", 12), (41, "constant", 12)])
     def test_short_series_order_is_fittable(self, T, det, expected):
-        # p_max itself leaves as many common-sample rows as coefficients: its residuals
-        # are rounding noise, so its AIC would win, and fit rejects it on the full sample
+        # p_max itself leaves fewer residual degrees of freedom on the common sample than
+        # variables (0, 0 and 1 for 2): its residual covariance is singular, so its AIC is
+        # rounding noise and would win
         data = simulate_system1(n=T - 1)
         p_max = capped_p_max(15, T)
         p = select_lag_aic(data, p_max, det=det)
