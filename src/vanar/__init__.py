@@ -12,7 +12,7 @@ from .dataset import Dataset, concat_datasets, read_csv, split_dataset, write_cs
 from .impulse import ImpulseSet, impulse_path, impulse_response
 from .metrics import rmse, rmsse
 from .network import AdaGradState, Mlp, TrainConfig, train
-from .preprocessing import LagDesign, StandardScaler, build_lag_design
+from .preprocessing import StandardScaler
 from .simulate import (
     LogisticParams,
     ScenarioSpec,
@@ -23,7 +23,7 @@ from .simulate import (
     spearman,
 )
 from .vanar import Autoencoder, VanarForecaster, fit_autoencoder
-from .var import NaiveForecaster, VarForecaster, fit_var_ols, select_lag_aic
+from .var import NaiveForecaster, VarForecaster, select_lag_aic
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "CausalityGraph",
     "Dataset",
     "ImpulseSet",
-    "LagDesign",
     "LogisticParams",
     "Mlp",
     "NaiveForecaster",
@@ -45,12 +44,10 @@ __all__ = [
     "VanarForecaster",
     "VarForecaster",
     "add_observation_noise",
-    "build_lag_design",
     "causality_graph",
     "causality_score",
     "concat_datasets",
     "fit_autoencoder",
-    "fit_var_ols",
     "impulse_path",
     "impulse_response",
     "read_csv",

@@ -1,4 +1,4 @@
-"""Estimator base class: the get_params/set_params protocol and the checks every forecast makes."""
+"""Estimator base class: the get_params/set_params protocol and the one lag recursion."""
 
 from __future__ import annotations
 
@@ -13,13 +13,20 @@ from .validation import check_fit_rows, check_fitted, check_positive_int
 
 
 class BaseForecaster:
-    """Minimal estimator base: hyperparameters live in ``__init__`` arguments.
+    """Base of every forecaster, each a lag-p model; hyperparameters live in ``__init__``.
 
     Subclasses follow the usual convention: constructor arguments are
     stored verbatim as attributes of the same name, ``fit`` sets
     trailing-underscore attributes, and ``get_params``/``set_params``
     expose the constructor arguments for composition and cloning.
+
+    A fitted subclass sets ``p_`` and ``names_`` and supplies ``_predict(lags, t)``:
+    predictions (..., N) from lag vectors (..., p*N) at 1-based time indices ``t``
+    that broadcast against them, both in the model's own units, which ``_to_model``
+    and ``_from_model`` map rows of values into and out of (the identity here).
     """
+
+    det = None  # deterministic terms, in ``check_fit_rows``' sense; a VAR sets its own
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -54,20 +61,6 @@ class BaseForecaster:
         if history.n_obs < p:
             raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
 
-    def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
-        """``forecast(history, h)`` for each history. Lag models override this
-        with one recursion over all of them."""
-        return [self.forecast(history, h) for history in histories]
-
-    def _one_step(self, history: Dataset, actual: Dataset) -> Dataset:
-        """Row t of ``actual`` predicted by ``forecast(row, 1)`` from the one row
-        before it, for forecasters whose ``forecast`` reads only the last row of
-        its history (``NaiveForecaster``, ``TrueSystem``). Lag models override
-        this with one pass over a lag matrix."""
-        before = Dataset(actual.names, np.vstack([history.values[-1:], actual.values[:-1]]))
-        preds = [self.forecast(before.rows(t, t + 1), 1).values[0] for t in range(actual.n_obs)]
-        return Dataset(actual.names, preds)
-
     def clone(self) -> "BaseForecaster":
         """Unfitted copy with identical hyperparameters."""
         return type(self)(**self.get_params())
@@ -75,18 +68,6 @@ class BaseForecaster:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
-
-
-class LagForecaster(BaseForecaster):
-    """The lag-p models' one recursion and one one-step pass (VAR and VANAR).
-
-    A fitted subclass sets ``p_`` and ``names_`` and supplies ``_predict(lags, t)``:
-    predictions (..., N) from lag vectors (..., p*N) at 1-based time indices ``t``
-    that broadcast against them, both in the model's own units, which ``_to_model``
-    and ``_from_model`` map rows of values into and out of (the identity here).
-    """
-
-    det = None  # deterministic terms, in ``check_fit_rows``' sense; a VAR sets its own
 
     def _check_rows(self, n_obs: int, n_vars: int, p: int) -> None:
         """``fit``'s sample-size rule: raise unless ``n_obs`` rows can fit lag order ``p``."""
@@ -97,6 +78,10 @@ class LagForecaster(BaseForecaster):
 
     def _from_model(self, values: np.ndarray) -> np.ndarray:
         return values
+
+    def forecast(self, history: Dataset, h: int) -> Dataset:
+        """Recursive h-step forecast, feeding predictions back as inputs."""
+        return self._forecast_many([history], h)[0]
 
     def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
         """``forecast(history, h)`` for each history, from one recursion over all of them."""

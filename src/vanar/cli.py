@@ -21,7 +21,7 @@ from .experiment import (
     run, write_granger_csv, write_irf_csv,
 )
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
-from .var import DET_OPTIONS, VarForecaster, capped_p_max, select_lag_aic
+from .var import DET_OPTIONS, P_MAX, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 
@@ -87,7 +87,7 @@ def _add_fit_var(sub):
     p = sub.add_parser("fit-var", help="fit a linear VAR by least squares")
     p.add_argument("--data", required=True, help="training CSV")
     p.add_argument("--p", type=int, default=None, help="lag order (default: AIC)")
-    p.add_argument("--p-max", type=int, default=15)
+    p.add_argument("--p-max", type=int, default=P_MAX)
     p.add_argument("--det", default="none", choices=DET_OPTIONS)
     p.add_argument("--out", required=True, help="model JSON path")
 
@@ -166,7 +166,7 @@ def _add_granger(sub):
     p.add_argument("--model", default="vanar",
                    choices=[name for name, kind in MODEL_KINDS.items() if kind.multivariate])
     p.add_argument("--p", type=int, default=None, help="lag order (default: AIC)")
-    p.add_argument("--p-max", type=int, default=15)
+    p.add_argument("--p-max", type=int, default=P_MAX)
     p.add_argument("--test-len", type=int, default=20)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--one-step", action="store_true",

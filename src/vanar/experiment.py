@@ -29,7 +29,7 @@ from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
 from .validation import check_hyperparameters, check_positive_int
-from .var import NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
+from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 TASKS = ("forecast", "granger", "irf", "one-step")
@@ -135,6 +135,8 @@ def validate_config(cfg: dict) -> list[str]:
             if key not in allowed:
                 problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
                                 f"allowed: {', '.join(allowed)}")
+        if "p" in entry and entry["p"] is None:  # left out, it is the run's order
+            problems.append(f"models[{i}]: p must be a positive integer, got None")
         if len(entry) > 1 + ("label" in entry):  # it sets values: check them as fit will
             try:
                 check_hyperparameters(entry)
@@ -210,7 +212,7 @@ def load_preset(name: str) -> dict:
             "models": [{"kind": "vanar"}, {"kind": "ana"}, {"kind": "var"}, {"kind": "ar"}],
             "tasks": ["forecast", "granger"],
             "seeds": [0, 1, 2],
-            "p_max": 15,
+            "p_max": P_MAX,
         }
     ref = resources.files("vanar.presets").joinpath(f"{name}.json")
     if not ref.is_file():
@@ -248,7 +250,7 @@ def _load_data(cfg: dict) -> Dataset:
 def _resolve_p(cfg: dict, train: Dataset) -> int:
     if cfg.get("p") is not None:
         return check_positive_int(cfg["p"], "p")
-    p_max = capped_p_max(cfg.get("p_max", 15), train.n_obs)
+    p_max = capped_p_max(cfg.get("p_max", P_MAX), train.n_obs)
     return select_lag_aic(train, p_max=p_max, det=cfg.get("det", "none"))
 
 

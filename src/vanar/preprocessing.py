@@ -2,52 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import Dataset
 from .validation import check_matrix
 
 
-@dataclass(frozen=True)
-class LagDesign:
-    """Row-aligned regression design built from a time series.
-
-    ``inputs`` has one row per usable time step t (t = p+1..T) holding the
-    p lagged values of every variable, ordered variable-major with the most
-    recent lag first: for variables (v1, v2) and p = 2 the columns are
-    [v1@t-1, v1@t-2, v2@t-1, v2@t-2]. ``targets`` row r holds the current
-    values X_t aligned with ``inputs`` row r.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-    p: int
-
-
-def build_lag_design(data: Dataset, p: int) -> LagDesign:
-    """Construct the (inputs, targets) matrices for a lag-p autoregression.
-
-    Raises
-    ------
-    ValueError
-        "invalid lag" if p <= 0; "insufficient history" if p >= T.
-    """
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p <= 0:
-        raise ValueError(f"invalid lag: p must be a positive integer, got {p!r}")
-    T, N = data.values.shape
-    if p >= T:
-        raise ValueError(f"insufficient history: need T > p, got T={T}, p={p}")
-    inputs = lag_matrix(data.values, int(p))
-    targets = data.values[p:].copy()
-    return LagDesign(inputs=inputs, targets=targets, p=int(p))
-
-
 def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
-    """(T-p, p*N) lagged regressors of a (T, N) value matrix; row r is the lag
-    vector of row r + p."""
+    """(T-p, p*N) lagged regressors of a (T, N) value matrix; row r is the lag vector
+    of row r + p, the target ``values[p:]`` row r. The columns are variable-major with
+    the most recent lag first: for (v1, v2) and p = 2, [v1@t-1, v1@t-2, v2@t-1, v2@t-2]."""
     T, N = values.shape
     row, col = values.strides
     # window r is the p rows r..r+p-1 before row r + p, all within values; _flat_lags copies
@@ -69,7 +33,7 @@ def lag_vector(recent: np.ndarray, p: int) -> np.ndarray:
 
 def _flat_lags(windows: np.ndarray) -> np.ndarray:
     """The one lag layout: (..., p*N) lag vectors, variable-major with the most recent
-    lag first (see :class:`LagDesign`), of (..., p, N) windows of rows in time order.
+    lag first (see :func:`lag_matrix`), of (..., p, N) windows of rows in time order.
     A fresh C-contiguous copy, since numpy picks its matmul kernel by memory layout."""
     lags = windows[..., ::-1, :].swapaxes(-1, -2).copy()
     return lags.reshape(windows.shape[:-2] + (-1,))

@@ -130,19 +130,25 @@ class TrueSystem(BaseForecaster):
     """The noise-free system as a forecaster: its forecast is the true continuation.
 
     Nothing is estimated, so there is no ``fit`` and the variables are
-    always ("x", "y"). Shocked through ``impulse_path`` like any fitted
-    model, it gives the true shocked trajectory and impulse response.
+    always ("x", "y"). A lag-1 model predicting the next state, shocked
+    through ``impulse_path`` like any fitted model, it gives the true
+    shocked trajectory and impulse response.
     """
 
     names_ = ("x", "y")
+    p_ = 1
 
     def __init__(self, params: LogisticParams = LogisticParams()):
         self.params = params
 
-    def forecast(self, history: Dataset, h: int) -> Dataset:
-        """The h states after the last row of ``history``; ValueError if they diverge."""
-        self._check_history(history, h, 1)
-        return simulate_system1(self.params, x0=history.values[-1], n=h).rows(1, h + 1)
+    def _predict(self, lags: np.ndarray, t) -> np.ndarray:
+        """The states (..., 2) after the states ``lags``; ValueError if one leaves [-10, 10]."""
+        state = np.stack(_step(self.params, lags[..., 0], lags[..., 1]), axis=-1)
+        far = np.abs(state) > DIVERGENCE_BOUND
+        if far.any():
+            first = np.broadcast_to(t, far.shape)[far].min()
+            raise ValueError(f"divergent trajectory at time {first}")
+        return state
 
 
 def spearman(a, b) -> float:

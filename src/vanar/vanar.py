@@ -17,12 +17,12 @@ import math
 
 import numpy as np
 
-from .base import LagForecaster
+from .base import BaseForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
-from .preprocessing import StandardScaler, build_lag_design
+from .preprocessing import StandardScaler, lag_matrix
 from .validation import check_fitted, check_hyperparameters, check_positive_int
-from .var import capped_p_max, select_lag_aic
+from .var import P_MAX, capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
 
@@ -132,7 +132,7 @@ def _head_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-class VanarForecaster(LagForecaster):
+class VanarForecaster(BaseForecaster):
     """Per-variable neural autoregression with optional feature extraction.
 
     Parameters
@@ -177,7 +177,7 @@ class VanarForecaster(LagForecaster):
         patience: int = 20,
         validation_fraction: float = 0.1,
         seed: int = 0,
-        p_max: int = 15,
+        p_max: int = P_MAX,
     ):
         self.p = p
         self.hidden_dims = hidden_dims
@@ -203,8 +203,8 @@ class VanarForecaster(LagForecaster):
         self._check_rows(T, N, p)
 
         self.scaler_ = StandardScaler().fit(data.values)
-        scaled = data.with_values(self.scaler_.transform(data.values))
-        design = build_lag_design(scaled, p)
+        scaled = self.scaler_.transform(data.values)
+        inputs, targets = lag_matrix(scaled, p), scaled[p:]
 
         emb = self.embedding_dim or max(2, (p * N) // 4)  # None picks the default
 
@@ -223,11 +223,11 @@ class VanarForecaster(LagForecaster):
         # None fits both head sets and keeps the better one on validation
         plain = enriched = None
         if not use_ae:
-            plain = self._fit_heads(design.inputs, design.targets, N, ae_tag=0)
+            plain = self._fit_heads(inputs, targets, N, ae_tag=0)
         if use_ae is None or use_ae:
-            ae = fit_autoencoder(design.inputs, emb, self._train_config(_head_seed(self.seed, 0)))
-            ae_inputs = np.hstack([design.inputs, ae.encode(design.inputs)])
-            enriched = self._fit_heads(ae_inputs, design.targets, N, ae_tag=1)
+            ae = fit_autoencoder(inputs, emb, self._train_config(_head_seed(self.seed, 0)))
+            ae_inputs = np.hstack([inputs, ae.encode(inputs)])
+            enriched = self._fit_heads(ae_inputs, targets, N, ae_tag=1)
         # activated wins ties: feature extraction is the preferred form
         self.activated_ = plain is None or (enriched is not None and enriched[2] <= plain[2])
         self.autoencoder_ = ae if self.activated_ else None
@@ -264,9 +264,7 @@ class VanarForecaster(LagForecaster):
             x = np.concatenate([lags, self.autoencoder_.encode(lags)], axis=-1)
         return np.concatenate([head.forward(x) for head in self.heads_], axis=-1)
 
-    def forecast(self, history: Dataset, h: int) -> Dataset:
-        """Recursive h-step forecast in original units."""
-        return self._forecast_many([history], h)[0]
+    forecast = BaseForecaster.forecast  # the class's own attribute, so tracing can wrap it
 
     def to_json(self) -> str:
         check_fitted(self, "heads_")

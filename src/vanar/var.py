@@ -13,12 +13,14 @@ import math
 
 import numpy as np
 
-from .base import BaseForecaster, LagForecaster
+from .base import BaseForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
     DET_OPTIONS, check_fitted, check_hyperparameters, check_positive_int,
 )
+
+P_MAX = 15  # the largest lag order an AIC scan tries unless told otherwise
 
 
 def _n_det_terms(det: str) -> int:
@@ -54,7 +56,7 @@ def _aic(resid: np.ndarray, k: int) -> float:
     return float(logdet + 2.0 * k / T_eff)
 
 
-class VarForecaster(LagForecaster):
+class VarForecaster(BaseForecaster):
     """VAR(p) / AR(p) estimator with recursive multi-step forecasting.
 
     Parameters
@@ -116,9 +118,7 @@ class VarForecaster(LagForecaster):
         """
         return _aic(self._residuals(data), self.coef_.size)
 
-    def forecast(self, history: Dataset, h: int) -> Dataset:
-        """Recursive h-step forecast, feeding predictions back as inputs."""
-        return self._forecast_many([history], h)[0]
+    forecast = BaseForecaster.forecast  # the class's own attribute, so tracing can wrap it
 
     def _predict(self, lags: np.ndarray, t) -> np.ndarray:
         """Predictions from lag vectors (..., p*N) at 1-based time indices ``t``,
@@ -172,11 +172,6 @@ class VarForecaster(LagForecaster):
         return est
 
 
-def fit_var_ols(data: Dataset, p: int, det: str = "none") -> VarForecaster:
-    """Convenience wrapper: fit a VAR(p) by per-equation least squares."""
-    return VarForecaster(p=p, det=det).fit(data)
-
-
 def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     """Smallest-AIC lag order among VAR(1)..VAR(p_max).
 
@@ -223,12 +218,14 @@ def capped_p_max(p_max: int, n_obs: int) -> int:
 
 
 class NaiveForecaster(BaseForecaster):
-    """Repeats the last observed row; the baseline behind the scaled error metric."""
+    """Repeats the last observed row, as a lag-1 model whose prediction is its lag
+    vector; the baseline behind the scaled error metric."""
+
+    p_ = 1
 
     def fit(self, data: Dataset) -> "NaiveForecaster":
         self.names_ = data.names
         return self
 
-    def forecast(self, history: Dataset, h: int) -> Dataset:
-        self._check_history(history, h, 1)
-        return Dataset(self.names_, np.tile(history.values[-1], (h, 1)))
+    def _predict(self, lags: np.ndarray, t=None) -> np.ndarray:
+        return lags

@@ -18,7 +18,6 @@ from vanar import (
     TrueSystem,
     VanarForecaster,
     VarForecaster,
-    fit_var_ols,
     impulse_response,
     rmsse,
     rmse,
@@ -91,9 +90,9 @@ def test_criterion_2_ols_recovery():
                 out[t] += rng.normal(0, sd, 2)
         return Dataset(("a", "b"), out)
 
-    noisy = fit_var_ols(gen(1000, 0.01, seed=0), 1)
+    noisy = VarForecaster(p=1).fit(gen(1000, 0.01, seed=0))
     err_noisy = np.abs(noisy.phi_[0] - phi).max()
-    exact = fit_var_ols(gen(1000, 0.0, seed=0), 1)
+    exact = VarForecaster(p=1).fit(gen(1000, 0.0, seed=0))
     err_exact = np.abs(exact.phi_[0] - phi).max()
     ok = err_noisy < 0.05 and err_exact < 1e-8
     report("criterion 2 (OLS recovery)",
@@ -261,7 +260,7 @@ def test_criterion_6_forecast_ordering():
 
 def test_criterion_7_zero_shock_zero_response():
     data = simulate_system1(n=299)
-    var_model = fit_var_ols(data, 2)
+    var_model = VarForecaster(p=2).fit(data)
     vanar_model = VanarForecaster(p=2, hidden_dims=(16, 16), epochs=20).fit(data)
     r_var = impulse_response(var_model, data, "y", 0.0, 10)
     r_vanar = impulse_response(vanar_model, data, "y", 0.0, 10)
@@ -277,7 +276,7 @@ def test_criterion_7_zero_shock_zero_response():
 
 def test_criterion_8_linear_irf_oracle():
     data = simulate_system1(n=399)
-    model = fit_var_ols(data, 1)
+    model = VarForecaster(p=1).fit(data)
     eps = 0.37
     j = data.index_of("y")
     resp = impulse_response(model, data, "y", eps, 1)

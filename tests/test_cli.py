@@ -160,6 +160,13 @@ class TestConfigValidation:
         assert [p.split(":")[0] for p in exc.value.problems] == ["models[0]", "models[2]"]
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind", ["var", "vanar"])
+    def test_null_model_lag_order_fails_before_the_manifest(self, tmp_path, kind):
+        cfg = fast_config(models=[{"kind": "ar"}, {"kind": kind, "p": None}])
+        with pytest.raises(ConfigError, match=r"models\[1\]: p must be a positive integer"):
+            run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run({"system": "nope"}, tmp_path / "out")

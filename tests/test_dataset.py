@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vanar import Dataset, concat_datasets, read_csv, split_dataset, write_csv
-from vanar.preprocessing import build_lag_design
+from vanar.preprocessing import lag_matrix
 
 
 def make(names, cols):
@@ -77,54 +77,42 @@ class TestSplit:
 class TestLagDesign:
     def test_single_variable_example(self):
         d = Dataset(("x",), [[1.0], [2.0], [3.0], [4.0]])
-        design = build_lag_design(d, 2)
-        assert design.inputs.tolist() == [[2.0, 1.0], [3.0, 2.0]]
-        assert design.targets.tolist() == [[3.0], [4.0]]
+        assert lag_matrix(d.values, 2).tolist() == [[2.0, 1.0], [3.0, 2.0]]
+        assert d.values[2:].tolist() == [[3.0], [4.0]]
 
     def test_constant_series(self):
         d = Dataset(("x",), [[5.0], [5.0], [5.0]])
-        design = build_lag_design(d, 1)
-        assert design.inputs.tolist() == [[5.0], [5.0]]
-        assert design.targets.tolist() == [[5.0], [5.0]]
+        assert lag_matrix(d.values, 1).tolist() == [[5.0], [5.0]]
+        assert d.values[1:].tolist() == [[5.0], [5.0]]
 
     def test_two_vars_hand_enumerated(self):
         # T=6, p=3: row for target t holds [x(t-1), x(t-2), x(t-3), y(t-1), y(t-2), y(t-3)]
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         y = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-        design = build_lag_design(make(("x", "y"), [x, y]), 3)
-        assert design.inputs.shape == (3, 6)
+        values = make(("x", "y"), [x, y]).values
+        inputs = lag_matrix(values, 3)
+        assert inputs.shape == (3, 6)
         expected = [
             [3, 2, 1, 30, 20, 10],
             [4, 3, 2, 40, 30, 20],
             [5, 4, 3, 50, 40, 30],
         ]
-        assert design.inputs.tolist() == [[float(v) for v in row] for row in expected]
-        assert design.targets.tolist() == [[4.0, 40.0], [5.0, 50.0], [6.0, 60.0]]
-
-    def test_invalid_lag(self):
-        d = Dataset(("x",), [[1.0], [2.0]])
-        with pytest.raises(ValueError, match="invalid lag"):
-            build_lag_design(d, 0)
-
-    def test_insufficient_history(self):
-        d = Dataset(("x",), [[1.0], [2.0]])
-        with pytest.raises(ValueError, match="insufficient history"):
-            build_lag_design(d, 2)
+        assert inputs.tolist() == [[float(v) for v in row] for row in expected]
+        assert values[3:].tolist() == [[4.0, 40.0], [5.0, 50.0], [6.0, 60.0]]
 
     def test_reassembly_recovers_every_value(self):
         # every original value appears exactly once per (t, lag) slot it serves
         rng = np.random.default_rng(3)
         vals = rng.normal(size=(11, 3))
-        d = Dataset(("a", "b", "c"), vals)
         p = 4
-        design = build_lag_design(d, p)
+        inputs, targets = lag_matrix(vals, p), vals[p:]
         T, N = vals.shape
         for r in range(T - p):
             t = p + r  # target row index in the original data
             for j in range(N):
-                assert design.targets[r, j] == vals[t, j]
+                assert targets[r, j] == vals[t, j]
                 for lag in range(1, p + 1):
-                    assert design.inputs[r, j * p + lag - 1] == vals[t - lag, j]
+                    assert inputs[r, j * p + lag - 1] == vals[t - lag, j]
 
 
 class TestCsv:

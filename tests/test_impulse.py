@@ -3,7 +3,7 @@ import pytest
 
 from vanar import (
     VanarForecaster,
-    fit_var_ols,
+    VarForecaster,
     impulse_path,
     impulse_response,
     simulate_system1,
@@ -17,7 +17,7 @@ def chaotic_train():
 
 @pytest.fixture(scope="module")
 def var_model(chaotic_train):
-    return fit_var_ols(chaotic_train, 2)
+    return VarForecaster(p=2).fit(chaotic_train)
 
 
 @pytest.fixture(scope="module")

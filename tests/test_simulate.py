@@ -4,10 +4,12 @@ import pytest
 from vanar import (
     LogisticParams,
     ScenarioSpec,
+    Dataset,
     TrueSystem,
     add_observation_noise,
     impulse_path,
     impulse_response,
+    rolling_one_step,
     simulate_system1,
     spearman,
 )
@@ -133,6 +135,18 @@ class TestTrueImpulse:
         hist = simulate_system1(n=10)
         with pytest.raises(KeyError):
             impulse_path(TrueSystem(LogisticParams()), hist, "z", 0.1, 5)
+
+    @pytest.mark.parametrize("query", [
+        lambda model, history, actual: model.forecast(history, 3),
+        lambda model, history, actual: rolling_one_step(model, history, actual),
+    ], ids=["forecast", "one_step"])
+    def test_divergence_guard(self, query):
+        # from y = 1.5 the next y is about -2.69 (time 3), and the state after it leaves
+        # [-10, 10] (time 4), whether predicted from the forecast or from the actual row
+        history = Dataset(("x", "y"), [[0.4, 0.2], [0.4, 1.5]])
+        actual = Dataset(("x", "y"), [[0.4, -2.69], [0.4, 0.2]])
+        with pytest.raises(ValueError, match="divergent trajectory at time 4"):
+            query(TrueSystem(), history, actual)
 
 
 class TestSpearman:

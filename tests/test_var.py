@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vanar import Dataset, VarForecaster, fit_var_ols, select_lag_aic, simulate_system1
+from vanar import Dataset, VarForecaster, select_lag_aic, simulate_system1
 from vanar.var import capped_p_max
 
 PHI = np.array([[0.5, 0.1], [0.0, 0.3]])
@@ -34,7 +34,7 @@ def simulate_var2(T, seed, sd=0.1):
 
 class TestOlsFit:
     def test_exact_recovery_zero_noise(self):
-        model = fit_var_ols(simulate_var1(200), 1)
+        model = VarForecaster(p=1).fit(simulate_var1(200))
         assert np.abs(model.phi_[0] - PHI).max() < 1e-8
 
     def test_exact_recovery_of_two_lags(self):
@@ -42,24 +42,24 @@ class TestOlsFit:
         x[:2] = [[1.0, -0.5], [0.3, 0.8]]
         for t in range(2, 120):
             x[t] = PHI1 @ x[t - 1] + PHI2 @ x[t - 2]
-        model = fit_var_ols(Dataset(("a", "b"), x), 2)
+        model = VarForecaster(p=2).fit(Dataset(("a", "b"), x))
         assert np.abs(model.phi_[0] - PHI1).max() < 1e-8
         assert np.abs(model.phi_[1] - PHI2).max() < 1e-8
 
     def test_recovery_with_noise(self):
-        model = fit_var_ols(simulate_var1(1000, sd=0.01, seed=1), 1)
+        model = VarForecaster(p=1).fit(simulate_var1(1000, sd=0.01, seed=1))
         assert np.abs(model.phi_[0] - PHI).max() < 0.05
 
     def test_white_noise_coefficients_near_zero(self):
         rng = np.random.default_rng(42)
         data = Dataset(("a", "b"), rng.normal(size=(10000, 2)))
-        model = fit_var_ols(data, 1)
+        model = VarForecaster(p=1).fit(data)
         assert np.abs(model.phi_[0]).max() < 0.05
 
     def test_constant_term_recovers_mean(self):
         rng = np.random.default_rng(7)
         data = Dataset(("a",), 5.0 + rng.normal(0, 0.1, size=(1000, 1)))
-        model = fit_var_ols(data, 1, det="constant")
+        model = VarForecaster(p=1, det="constant").fit(data)
         assert abs(model.phi_[0][0, 0]) < 0.05
         assert model.const_[0] == pytest.approx(5.0, abs=0.3)
 
@@ -68,11 +68,11 @@ class TestOlsFit:
         base = np.arange(30.0)
         data = Dataset(("a", "b"), np.column_stack([base, base]))
         with pytest.raises(ValueError, match="singular design"):
-            fit_var_ols(data, 1)
+            VarForecaster(p=1).fit(data)
 
     def test_residuals_orthogonal_to_design(self):
         data = simulate_var2(300, seed=3)
-        model = fit_var_ols(data, 2, det="constant")
+        model = VarForecaster(p=2, det="constant").fit(data)
         resid = model._residuals(data)
         from vanar.preprocessing import lag_matrix
 
@@ -83,7 +83,7 @@ class TestOlsFit:
     def test_univariate_same_code_path(self):
         data = simulate_var2(200, seed=5)
         only_a = data.select(["a"])
-        m = fit_var_ols(only_a, 2)
+        m = VarForecaster(p=2).fit(only_a)
         # hand OLS on the scalar series
         v = only_a.values[:, 0]
         X = np.column_stack([v[1:-1], v[:-2]])
@@ -93,7 +93,7 @@ class TestOlsFit:
         assert m.phi_[1][0, 0] == pytest.approx(beta[1], rel=1e-10)
 
     def test_resid_cov_symmetric_psd(self):
-        model = fit_var_ols(simulate_var2(300, seed=9), 2)
+        model = VarForecaster(p=2).fit(simulate_var2(300, seed=9))
         S = model.resid_cov_
         assert np.allclose(S, S.T)
         assert np.all(np.linalg.eigvalsh(S) >= -1e-12)
@@ -102,13 +102,13 @@ class TestOlsFit:
 class TestAic:
     def test_perfect_fit_degenerate_covariance(self):
         data = Dataset(("x",), np.full((50, 1), 3.0))
-        model = fit_var_ols(data, 1)
+        model = VarForecaster(p=1).fit(data)
         with pytest.raises(ValueError, match="degenerate residual covariance"):
             model.aic(data)
 
     def test_scalar_formula(self):
         data = simulate_var2(300, seed=1).select(["a"])
-        model = fit_var_ols(data, 2, det="constant")
+        model = VarForecaster(p=2, det="constant").fit(data)
         resid = model._residuals(data)
         t_eff = resid.shape[0]
         sigma2 = float((resid * resid).sum() / t_eff)
@@ -117,8 +117,8 @@ class TestAic:
 
     def test_ordering_matches_hand_computation(self):
         data = simulate_var2(400, seed=2)
-        m1 = fit_var_ols(data, 1)
-        m2 = fit_var_ols(data, 2)
+        m1 = VarForecaster(p=1).fit(data)
+        m2 = VarForecaster(p=2).fit(data)
         hand = []
         for m in (m1, m2):
             resid = m._residuals(data)
@@ -212,7 +212,7 @@ class TestForecast:
 
     def test_h1_equals_fitted_equation(self):
         data = simulate_var2(200, seed=6)
-        model = fit_var_ols(data, 2, det="constant")
+        model = VarForecaster(p=2, det="constant").fit(data)
         fc = model.forecast(data, 1)
         from vanar.preprocessing import lag_vector
 
@@ -221,7 +221,7 @@ class TestForecast:
         assert fc.values[0] == pytest.approx(manual, rel=1e-12)
 
     def test_insufficient_history(self):
-        model = fit_var_ols(simulate_var2(100, seed=0), 3)
+        model = VarForecaster(p=3).fit(simulate_var2(100, seed=0))
         with pytest.raises(ValueError, match="insufficient history"):
             model.forecast(Dataset(("a", "b"), [[0.1, 0.1]]), 2)
 
@@ -229,7 +229,7 @@ class TestForecast:
 class TestSerialization:
     def test_json_roundtrip(self):
         data = simulate_var2(150, seed=8)
-        model = fit_var_ols(data, 2, det="constant+trend")
+        model = VarForecaster(p=2, det="constant+trend").fit(data)
         back = VarForecaster.from_json(model.to_json())
         fc1 = model.forecast(data, 7)
         fc2 = back.forecast(data, 7)
@@ -244,7 +244,8 @@ class TestSerialization:
         lambda d: d.update(const=d["const"] + [0.0]),
     ], ids=["p", "names", "phi", "trend", "const"])
     def test_malformed_document_rejected(self, edit):
-        doc = json.loads(fit_var_ols(simulate_var2(150, seed=8), 2, det="constant+trend").to_json())
+        model = VarForecaster(p=2, det="constant+trend").fit(simulate_var2(150, seed=8))
+        doc = json.loads(model.to_json())
         edit(doc)
         with pytest.raises(ValueError, match="phi, const and trend have shapes"):
             VarForecaster.from_json(json.dumps(doc))
@@ -265,7 +266,7 @@ class TestFittedState:
                              ids=["p2", "p5", "det-none", "det-trend"])
     def test_set_params_after_fit_leaves_fitted_model_unchanged(self, params):
         data = simulate_var2(150, seed=8)
-        model = fit_var_ols(data, 3, det="constant")
+        model = VarForecaster(p=3, det="constant").fit(data)
         fc, aic, doc = model.forecast(data, 5).values, model.aic(data), model.to_json()
         model.set_params(**params)
         assert np.array_equal(model.forecast(data, 5).values, fc)
