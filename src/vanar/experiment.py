@@ -228,11 +228,11 @@ def list_presets() -> list[str]:
     return sorted(names)
 
 
-def _system1_recipe(cfg: dict) -> tuple[ScenarioSpec, tuple, int]:
+def _system1_recipe(cfg: dict) -> tuple[ScenarioSpec, object, int]:
     """Scenario, start state and step count that generate a system1 config's series."""
     env = cfg["environment"]
     total = env["train_len"] + env["test_len"]
-    return ScenarioSpec(**cfg.get("scenario", {})), tuple(cfg.get("x0", DEFAULT_X0)), total - 1
+    return ScenarioSpec(**cfg.get("scenario", {})), cfg.get("x0", DEFAULT_X0), total - 1
 
 
 def _load_data(cfg: dict) -> Dataset:

@@ -289,7 +289,11 @@ def train(net: Mlp, inputs, targets, cfg: TrainConfig) -> tuple[Mlp, TrainResult
             result.val_losses.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = [p.copy() for p in net.parameters()]
+                if best_params is None:
+                    best_params = [p.copy() for p in net.parameters()]
+                else:  # one kept set, refreshed in place
+                    for kept, p in zip(best_params, net.parameters()):
+                        np.copyto(kept, p)
                 stale = 0
             else:
                 stale += 1

@@ -76,10 +76,25 @@ class ScenarioSpec:
 
 
 def _step(params: LogisticParams, x: float, y: float) -> tuple[float, float]:
+    """The next state (x, y); ``simulate_system1`` inlines the same expressions."""
     return (
         x * (params.a_x - params.b_x * x - params.c_x * y),
         y * (params.a_y - params.b_y * y - params.c_y * x),
     )
+
+
+def _start_state(x0) -> tuple[float, float]:
+    """``x0`` as two floats; ValueError unless it is two finite numbers within the bound."""
+    try:
+        x, y = (float(v) for v in x0)
+        ok = abs(x) <= DIVERGENCE_BOUND and abs(y) <= DIVERGENCE_BOUND  # False for NaN
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"x0 must be two finite numbers within +-{DIVERGENCE_BOUND:g}, got {x0!r}"
+        )
+    return x, y
 
 
 def simulate_system1(
@@ -90,19 +105,23 @@ def simulate_system1(
     """Iterate the noise-free system for n steps.
 
     Returns a Dataset of length n + 1 whose first row is the initial state.
-    Raises ValueError("divergent trajectory") if any value leaves
-    [-10, 10], which signals unusable parameters.
+    Raises ValueError if ``x0`` is not two finite numbers within [-10, 10],
+    and ValueError("divergent trajectory") if any value leaves [-10, 10],
+    which signals unusable parameters.
     """
     check_positive_int(n, "n")
-    x, y = float(x0[0]), float(x0[1])
-    out = np.empty((n + 1, 2))
-    out[0] = (x, y)
+    x, y = _start_state(x0)
+    # _step on Python floats, inlined: the same expressions in the same order
+    a_x, b_x, c_x = params.a_x, params.b_x, params.c_x
+    a_y, b_y, c_y = params.a_y, params.b_y, params.c_y
+    xs, ys = [x], [y]
     for t in range(1, n + 1):
-        x, y = _step(params, x, y)
+        x, y = x * (a_x - b_x * x - c_x * y), y * (a_y - b_y * y - c_y * x)
         if abs(x) > DIVERGENCE_BOUND or abs(y) > DIVERGENCE_BOUND:
             raise ValueError(f"divergent trajectory at step {t}: ({x:g}, {y:g})")
-        out[t] = (x, y)
-    return Dataset(("x", "y"), out)
+        xs.append(x)
+        ys.append(y)
+    return Dataset(("x", "y"), np.column_stack((xs, ys)))
 
 
 def simulate_scenario(spec: ScenarioSpec, n: int = 1000, x0=DEFAULT_X0) -> Dataset:

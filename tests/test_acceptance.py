@@ -7,6 +7,8 @@ so the whole suite stays inside a desk-scale time budget.
 """
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -165,33 +167,57 @@ HORIZONS = (10, 20)
 # univariate RMSE beside the test window's sd.
 
 
+def _cell_split(kind, env):
+    """A cell's train and test windows and its AIC lag order."""
+    train_len = TRAIN_LEN[env]
+    data = simulate_scenario(ScenarioSpec(kind=kind, seed=0), n=train_len + 19)
+    train, test = split_dataset(data, train_len, 20)
+    return train, test, select_lag_aic(train, 15)
+
+
+def _seed_scores(group):
+    """One (kind, env, seed) group's three fits: per target variable, the
+    scores and univariate RMSEs at both horizons."""
+    kind, env, seed = group
+    train, test, p = _cell_split(kind, env)
+    full = VanarForecaster(p=p, seed=seed).fit(train)
+    fc = full.forecast(train, 20)
+    out = {}
+    for var in ("x", "y"):
+        uni_train = train.select([var])
+        uni = VanarForecaster(p=p, seed=seed).fit(uni_train)
+        ufc = uni.forecast(uni_train, 20)
+        actual = test.column(var)
+        uni_rmse = [rmse(ufc.column(var)[:h], actual[:h]) for h in HORIZONS]
+        scores = [1.0 - rmse(fc.column(var)[:h], actual[:h]) / u
+                  for h, u in zip(HORIZONS, uni_rmse)]
+        out[var] = {"scores": scores, "uni_rmse": uni_rmse}
+    return out
+
+
 @pytest.fixture(scope="session")
 def causality_table():
     """Median-of-3-seeds causality scores for every required scenario cell.
 
     Besides the two cell scores, each cell keeps, per target variable, the
     per-seed scores and univariate RMSEs at both horizons and the test
-    window's sd at both horizons.
+    window's sd at both horizons. The 27 (cell, seed) groups are independent
+    and seeded, so they run on up to two spawned worker processes and are
+    merged in cell and seed order.
     """
+    groups = [(kind, env, seed) for kind, env in CELLS for seed in (0, 1, 2)]
+    with pytest.MonkeyPatch.context() as patch:
+        # the workers fill the cores, so each gets one BLAS thread; a spawned
+        # worker reads these when it loads numpy
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            patch.setenv(var, "1")
+        with multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1)) as pool:
+            results = dict(zip(groups, pool.map(_seed_scores, groups, chunksize=1)))
     table = {}
     for kind, env in CELLS:
-        train_len = TRAIN_LEN[env]
-        data = simulate_scenario(ScenarioSpec(kind=kind, seed=0), n=train_len + 19)
-        train, test = split_dataset(data, train_len, 20)
-        p = select_lag_aic(train, 15)
-        per_seed = {"x": [], "y": []}
-        for seed in (0, 1, 2):
-            full = VanarForecaster(p=p, seed=seed).fit(train)
-            fc = full.forecast(train, 20)
-            for var in ("x", "y"):
-                uni_train = train.select([var])
-                uni = VanarForecaster(p=p, seed=seed).fit(uni_train)
-                ufc = uni.forecast(uni_train, 20)
-                actual = test.column(var)
-                uni_rmse = [rmse(ufc.column(var)[:h], actual[:h]) for h in HORIZONS]
-                scores = [1.0 - rmse(fc.column(var)[:h], actual[:h]) / u
-                          for h, u in zip(HORIZONS, uni_rmse)]
-                per_seed[var].append({"scores": scores, "uni_rmse": uni_rmse})
+        _, test, p = _cell_split(kind, env)
+        per_seed = {var: [results[(kind, env, seed)][var] for seed in (0, 1, 2)]
+                    for var in ("x", "y")}
         table[(kind, env)] = {
             "p": p,
             "x->y": float(np.median([max(s["scores"]) for s in per_seed["y"]])),

@@ -167,6 +167,14 @@ class TestConfigValidation:
             run(cfg, tmp_path / "out")
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("x0", [[0.4], [0.4, 0.2, 0.1], 0.4], ids=["one", "three", "scalar"])
+    def test_bad_start_state_fails_before_the_manifest(self, tmp_path, x0):
+        cfg = fast_config(x0=x0)
+        assert validate_config(cfg) == []  # the simulator owns the start-state rule
+        with pytest.raises(ValueError, match="x0 must be two finite numbers"):
+            run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
             run({"system": "nope"}, tmp_path / "out")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from vanar import (
     simulate_system1,
     spearman,
 )
+from vanar.simulate import DEFAULT_X0
 
 
 class TestSimulation:
@@ -45,6 +48,37 @@ class TestSimulation:
         bad = LogisticParams(a_x=9.0, b_x=-9.0, c_x=0.0)
         with pytest.raises(ValueError, match="divergent trajectory"):
             simulate_system1(bad, x0=(0.9, 0.5), n=100)
+
+    @pytest.mark.parametrize("n,digest", [
+        (868, "07e2e394751c8e40ea9d7bcc9b5280c6af3ac3f0"),    # fit-high's series
+        (4268, "c6f889c4703710b202391a80c4b8accc82aada4e"),   # serve-forecast's series
+    ])
+    def test_trajectory_bytes_are_pinned(self, n, digest):
+        values = simulate_system1(x0=DEFAULT_X0, n=n).values
+        assert hashlib.sha1(values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("params,x0,message", [
+        (LogisticParams(a_x=9.0, b_x=-9.0, c_x=0.0), (0.9, 0.5),
+         "divergent trajectory at step 1: (15.39, 0.83)"),
+        (LogisticParams(a_y=4.5), (0.4, 0.2),
+         "divergent trajectory at step 5: (0.887103, -14.3392)"),
+    ])
+    def test_divergence_names_the_step_and_state(self, params, x0, message):
+        with pytest.raises(ValueError) as exc:
+            simulate_system1(params, x0=x0, n=100)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("x0", [
+        (0.4,), (0.4, 0.2, 0.1), (float("nan"), 0.2), (0.4, float("inf")), (0.4, -10.5),
+        (), 0.4, None, ("a", "b"),
+    ], ids=["one", "three", "nan", "inf", "beyond_bound", "empty", "scalar", "none", "text"])
+    def test_bad_start_state_is_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0 must be two finite numbers"):
+            simulate_system1(x0=x0, n=10)
+
+    def test_start_state_may_be_an_array(self):
+        a = simulate_system1(x0=np.array([0.4, 0.2]), n=50)
+        assert np.array_equal(a.values, simulate_system1(x0=[0.4, 0.2], n=50).values)
 
     def test_no_interaction_decouples_trajectories(self):
         params = LogisticParams().decoupled()
