@@ -17,11 +17,11 @@ import numpy as np
 from .causality import causality_graph
 from .dataset import read_csv, write_csv, write_table
 from .experiment import (
-    MODEL_KINDS, ConfigError, TaskError, list_presets, load_config, load_preset,
-    run, write_granger_csv, write_irf_csv,
+    CONFIG_DEFAULTS, MODEL_KINDS, ConfigError, TaskError, list_presets, load_config,
+    load_preset, resolve_p, run, write_granger_csv, write_irf_csv,
 )
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
-from .var import DET_OPTIONS, P_MAX, VarForecaster, capped_p_max, select_lag_aic
+from .var import DET_OPTIONS, P_MAX, VarForecaster
 from .vanar import VanarForecaster
 
 
@@ -93,8 +93,7 @@ def _add_fit_var(sub):
 
     def cmd(args):
         data = read_csv(args.data)
-        p_order = args.p if args.p is not None else select_lag_aic(
-            data, capped_p_max(args.p_max, data.n_obs), det=args.det)
+        p_order = resolve_p(data, args.p, args.p_max, args.det)
         model = VarForecaster(p=p_order, det=args.det).fit(data)
         Path(args.out).write_text(model.to_json(), encoding="utf-8")
         print(f"fit VAR-{p_order} (det={args.det}) on {data.n_obs} rows -> {args.out}")
@@ -177,8 +176,7 @@ def _add_granger(sub):
         data = read_csv(args.data)
         center = args.center or data.names[0]
         train = data.rows(0, data.n_obs - args.test_len)
-        p_order = args.p if args.p is not None else select_lag_aic(
-            train, capped_p_max(args.p_max, train.n_obs))
+        p_order = resolve_p(train, args.p, args.p_max)
         kind, entry = MODEL_KINDS[args.model], {"kind": args.model}
         graph = causality_graph(
             data, center, lambda variables, seed: kind.build(entry, p_order, seed),
@@ -223,7 +221,7 @@ def _add_run(sub):
         cfg = load_config(args.config) if args.config else load_preset(args.preset)
         if args.seed is not None:
             cfg.setdefault("scenario", {})["seed"] = args.seed
-        out_dir = args.out or cfg.get("output_dir") or "vanar-out"
+        out_dir = args.out or cfg.get("output_dir") or CONFIG_DEFAULTS["output_dir"]
         try:
             result = run(cfg, out_dir)
         except ConfigError as exc:

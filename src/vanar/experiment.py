@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +25,26 @@ from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_tab
 from .impulse import _shocked_and_unshocked
 from .metrics import rmse, rmsse
 from .simulate import (
-    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
+    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, check_scenario, simulate_scenario,
+    simulate_system1,
 )
 from .validation import check_hyperparameters, check_positive_int
 from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 TASKS = ("forecast", "granger", "irf", "one-step")
+
+# Every optional config key with its default, one level into the granger and irf
+# sections; any other key but "system" and "environment" is a problem. A None default is
+# worked out in the run (see the README's config keys). Filled configs share these
+# values, so nothing may mutate them.
+CONFIG_DEFAULTS = {
+    "scenario": {}, "x0": DEFAULT_X0, "models": [], "tasks": [], "seeds": [0],
+    "p": None, "p_max": P_MAX, "det": "none", "output_dir": "vanar-out",
+    "granger": {"center": None, "test_len": None, "horizon": None, "one_step": False},
+    "irf": {"shock_var": None, "epsilon": 0.1, "horizon": 20},
+}
+
 
 @dataclass(frozen=True)
 class ModelKind:
@@ -97,9 +109,34 @@ class TaskError(RuntimeError):
         super().__init__("task failures:\n" + lines)
 
 
+def _filled(cfg: dict) -> dict:
+    """``cfg`` over ``CONFIG_DEFAULTS``, each section it gives as an object over its own."""
+    filled = {**CONFIG_DEFAULTS, **cfg}
+    for name in ("granger", "irf"):
+        if isinstance(cfg.get(name), dict):
+            filled[name] = {**CONFIG_DEFAULTS[name], **cfg[name]}
+    return filled
+
+
 def validate_config(cfg: dict) -> list[str]:
     """All validation problems in ``cfg`` (empty list = valid)."""
     problems = []
+    for key in cfg:  # unknown keys as given: the top level, then each section
+        if key not in CONFIG_DEFAULTS and key not in ("system", "environment"):
+            allowed = sorted(("system", "environment", *CONFIG_DEFAULTS))
+            problems.append(f"unknown key {key!r}; allowed: {', '.join(allowed)}")
+    for name in ("granger", "irf"):
+        section = cfg.get(name)
+        for key in section if isinstance(section, dict) else ():
+            if key not in CONFIG_DEFAULTS[name]:
+                problems.append(f"{name}: unknown key {key!r}; "
+                                f"allowed: {', '.join(CONFIG_DEFAULTS[name])}")
+    cfg = _filled(cfg)
+    for name in ("environment", "scenario", "granger", "irf"):
+        if not isinstance(cfg.get(name), dict):
+            problems.append(f"'{name}' must be an object, got {cfg.get(name)!r}")
+            cfg[name] = CONFIG_DEFAULTS.get(name)  # None for environment: no counts
+
     system = cfg.get("system")
     if system is None:
         problems.append("missing 'system' (either \"system1\" or {\"csv\": path})")
@@ -108,18 +145,26 @@ def validate_config(cfg: dict) -> list[str]:
 
     if system == "system1":
         try:
-            ScenarioSpec(**cfg.get("scenario", {}))
+            check_scenario(**cfg["scenario"])
         except (TypeError, ValueError) as exc:
             problems.append(f"bad 'scenario': {exc}")
     elif isinstance(system, dict) and "csv" in system:
         if not Path(system["csv"]).exists():
             problems.append(f"csv file not found: {system['csv']}")
 
-    env = cfg.get("environment", {})
-    counts = [("environment.train_len", env.get("train_len")),
-              ("environment.test_len", env.get("test_len"))]
+    env = cfg["environment"]
+    counts = [("p_max", cfg["p_max"])]
+    if env is not None:  # else reported above
+        counts += [("environment.train_len", env.get("train_len")),
+                   ("environment.test_len", env.get("test_len"))]
+    if cfg["p"] is not None:  # None: the AIC order
+        counts.append(("p", cfg["p"]))
+    try:  # the AIC scan's deterministic terms
+        check_hyperparameters({"det": cfg["det"]})
+    except (TypeError, ValueError) as exc:
+        problems.append(str(exc))
 
-    models = cfg.get("models", [])
+    models = cfg["models"]
     if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
         problems.append("'models' must be a list of objects")
         models = []
@@ -143,35 +188,34 @@ def validate_config(cfg: dict) -> list[str]:
             except (TypeError, ValueError) as exc:
                 problems.append(f"models[{i}]: {exc}")
 
-    tasks = cfg.get("tasks", [])
+    tasks = cfg["tasks"]
+    if not isinstance(tasks, list):
+        problems.append(f"'tasks' must be a list of task names, got {tasks!r}")
+        tasks = []
     for task in tasks:
         if task not in TASKS:
             problems.append(f"unknown task {task!r}; tasks are {TASKS}")
-    if tasks and not models and set(tasks) != {"irf"}:
+    if not models and tasks.count("irf") != len(tasks):  # only irf runs without models
         problems.append("tasks requested but no models configured")
 
-    seeds = cfg.get("seeds", [0])
+    seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds) or not seeds:
         problems.append(f"'seeds' must be a nonempty list of nonnegative integers, got {seeds!r}")
 
+    granger, irf = cfg["granger"], cfg["irf"]
     if "granger" in tasks:
         if not any(spec.multivariate for spec in kinds):
             problems.append("granger task needs a 'var' or 'vanar' model entry")
-        granger = cfg.get("granger", {})
-        if "test_len" in granger:
-            counts.append(("granger.test_len", granger["test_len"]))
-        if granger.get("horizon") is not None:
-            counts.append(("granger.horizon", granger["horizon"]))
+        for key in ("test_len", "horizon"):
+            if granger[key] is not None:
+                counts.append((f"granger.{key}", granger[key]))
     if "irf" in tasks:
-        irf = cfg.get("irf", {})
-        if system == "system1":
-            pass  # defaults exist for the simulated system
-        elif "shock_var" not in irf:
+        if system != "system1" and irf["shock_var"] is None:  # the simulated system has x, y
             problems.append("irf task on csv data needs irf.shock_var")
-        eps = irf.get("epsilon", 0.1)
+        eps = irf["epsilon"]
         if not isinstance(eps, (int, float)) or isinstance(eps, bool):
             problems.append(f"irf.epsilon must be a number, got {eps!r}")
-        counts.append(("irf.horizon", irf.get("horizon", 20)))
+        counts.append(("irf.horizon", irf["horizon"]))
     for name, value in counts:
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             problems.append(f"{name} must be a positive integer, got {value!r}")
@@ -186,12 +230,10 @@ def validate_config(cfg: dict) -> list[str]:
         except (OSError, ValueError):
             names = None
     if names:
-        center = cfg.get("granger", {}).get("center")
-        if center is not None and center not in names:
-            problems.append(f"granger.center {center!r} not among variables {names}")
-        shock = cfg.get("irf", {}).get("shock_var")
-        if shock is not None and shock not in names:
-            problems.append(f"irf.shock_var {shock!r} not among variables {names}")
+        for name, value in (("granger.center", granger["center"]),
+                            ("irf.shock_var", irf["shock_var"])):
+            if value is not None and value not in names:
+                problems.append(f"{name} {value!r} not among variables {names}")
     return problems
 
 
@@ -202,7 +244,7 @@ def load_config(path) -> dict:
 
 def load_preset(name: str) -> dict:
     """Bundled experiment config by name (see ``list_presets``): a generated
-    ``{kind}-{environment}`` grid config, else a JSON file in ``vanar/presets``."""
+    ``{kind}-{environment}`` grid config, or ``irf-default-high``, the shock experiment."""
     kind, _, env = name.rpartition("-")
     if kind in SCENARIO_KINDS and env in _PRESET_TRAIN_LEN:
         return {
@@ -214,44 +256,40 @@ def load_preset(name: str) -> dict:
             "seeds": [0, 1, 2],
             "p_max": P_MAX,
         }
-    ref = resources.files("vanar.presets").joinpath(f"{name}.json")
-    if not ref.is_file():
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    if name == "irf-default-high":
+        return {
+            "system": "system1", "scenario": {"kind": "default", "seed": 0},
+            "environment": {"train_len": 850, "test_len": 20}, "p": 5,
+            "models": [{"kind": "var"}, {"kind": "vanar", "hidden_dims": [1024, 1024],
+                                         "learning_rate": 0.0001, "epochs": 100, "batch_size": 32}],
+            "tasks": ["irf"], "seeds": [0],
+            "irf": {"shock_var": "y", "epsilon": 0.1, "horizon": 20},
+        }
+    raise ValueError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
 
 
 def list_presets() -> list[str]:
-    names = [f"{kind}-{env}" for kind in SCENARIO_KINDS for env in _PRESET_TRAIN_LEN]
-    for entry in resources.files("vanar.presets").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return sorted(names)
-
-
-def _system1_recipe(cfg: dict) -> tuple[ScenarioSpec, object, int]:
-    """Scenario, start state and step count that generate a system1 config's series."""
-    env = cfg["environment"]
-    total = env["train_len"] + env["test_len"]
-    return ScenarioSpec(**cfg.get("scenario", {})), cfg.get("x0", DEFAULT_X0), total - 1
+    grid = [f"{kind}-{env}" for kind in SCENARIO_KINDS for env in _PRESET_TRAIN_LEN]
+    return sorted([*grid, "irf-default-high"])
 
 
 def _load_data(cfg: dict) -> Dataset:
-    if cfg["system"] == "system1":
-        spec, x0, n = _system1_recipe(cfg)
-        return simulate_scenario(spec, n=n, x0=x0)
     env = cfg["environment"]
     total = env["train_len"] + env["test_len"]
+    if cfg["system"] == "system1":
+        return simulate_scenario(ScenarioSpec(**cfg["scenario"]), n=total - 1, x0=cfg["x0"])
     data = read_csv(cfg["system"]["csv"])
     if data.n_obs < total:
         raise ValueError(f"csv has {data.n_obs} rows, need train+test = {total}")
     return data.rows(0, total)
 
 
-def _resolve_p(cfg: dict, train: Dataset) -> int:
-    if cfg.get("p") is not None:
-        return check_positive_int(cfg["p"], "p")
-    p_max = capped_p_max(cfg.get("p_max", P_MAX), train.n_obs)
-    return select_lag_aic(train, p_max=p_max, det=cfg.get("det", "none"))
+def resolve_p(train: Dataset, p, p_max: int, det: str = "none") -> int:
+    """``p`` if given, else the AIC order of ``train`` up to ``capped_p_max(p_max, T)``: the
+    lag order of ``run``, ``vanar fit-var`` and ``vanar granger``."""
+    if p is not None:
+        return check_positive_int(p, "p")
+    return select_lag_aic(train, p_max=capped_p_max(p_max, train.n_obs), det=det)
 
 
 def _model_label(entry: dict) -> str:
@@ -278,14 +316,13 @@ def _model_runs(cfg, train, test, p, cache):
     """Per model entry and variable: (entry index, variable, one (model, train, test)
     per seed), the model fitted through ``cache`` on the rows it sees: every variable
     for a multivariate kind, else the one variable."""
-    seeds = cfg.get("seeds", [0])
     for i, entry in enumerate(cfg["models"]):
         kind = MODEL_KINDS[entry["kind"]]
         for var in train.names:
             names = train.names if kind.multivariate else [var]
             fit_train, fit_test = train.select(names), test.select(names)
             yield i, var, [(cache.fit(kind.build(entry, p, seed), fit_train), fit_train, fit_test)
-                           for seed in seeds]
+                           for seed in cfg["seeds"]]
 
 
 def _forecast_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
@@ -308,10 +345,7 @@ def _forecast_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
 
 
 def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
-    seeds = cfg.get("seeds", [0])
-    gcfg = cfg.get("granger", {})
-    center = gcfg.get("center", data.names[0])
-    test_len = gcfg.get("test_len", cfg["environment"]["test_len"])
+    gcfg = cfg["granger"]
     paths = []
     for entry in cfg["models"]:
         kind = MODEL_KINDS[entry["kind"]]
@@ -319,12 +353,12 @@ def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
             continue
         graph = causality_graph(
             data,
-            center,
+            gcfg["center"] or data.names[0],
             lambda variables, seed: kind.build(entry, p, seed),
-            seeds=seeds,
-            test_len=test_len,
-            horizon=gcfg.get("horizon"),
-            one_step=gcfg.get("one_step", False),
+            seeds=cfg["seeds"],
+            test_len=gcfg["test_len"] or cfg["environment"]["test_len"],
+            horizon=gcfg["horizon"],
+            one_step=gcfg["one_step"],
             cache=cache,
         )
         path = out_dir / f"granger_{_model_label(entry)}.csv"
@@ -334,11 +368,9 @@ def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
 
 
 def _irf_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
-    icfg = cfg.get("irf", {})
-    shock_var = icfg.get("shock_var", data.names[-1])
-    epsilon = float(icfg.get("epsilon", 0.1))
-    horizon = int(icfg.get("horizon", 20))
-    seed = cfg.get("seeds", [0])[0]
+    icfg = cfg["irf"]
+    shock_var = icfg["shock_var"] or data.names[-1]
+    epsilon, horizon, seed = float(icfg["epsilon"]), icfg["horizon"], cfg["seeds"][0]
     paths = []
     for entry in cfg["models"]:  # each file written once its model is fitted
         kind = MODEL_KINDS[entry["kind"]]
@@ -349,10 +381,10 @@ def _irf_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     if cfg["system"] == "system1":
         # the truth continues the state the system was in, not its noisy observation:
         # the data's trajectory before simulate_scenario adds the noise
-        spec, x0, n = _system1_recipe(cfg)
-        clean = simulate_system1(spec.params(), x0=x0, n=n).rows(0, train.n_obs)
+        params = ScenarioSpec(**cfg["scenario"]).params()
+        clean = simulate_system1(params, x0=cfg["x0"], n=data.n_obs - 1).rows(0, train.n_obs)
         paths.append(out_dir / "irf_true.csv")
-        write_irf_csv(TrueSystem(spec.params()), clean, shock_var, epsilon, horizon, paths[-1])
+        write_irf_csv(TrueSystem(params), clean, shock_var, epsilon, horizon, paths[-1])
     return paths
 
 
@@ -376,23 +408,21 @@ def run(cfg: dict, out_dir) -> dict:
     """Execute a validated config; returns {"manifest": path, "outputs": [paths]}.
 
     Raises ConfigError (listing every problem) before any work if the
-    config is invalid; task failures propagate after the manifest is
+    config is invalid; nothing is written until the data are loaded and every
+    model's lag order fits them. Task failures propagate after the manifest is
     written.
     """
     problems = validate_config(cfg)
     if problems:
         raise ConfigError(problems)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     echo = {k: v for k, v in cfg.items() if k != "output_dir"}
+    cfg = _filled(cfg)
     data = _load_data(cfg)
     env = cfg["environment"]
     train, test = split_dataset(data, env["train_len"], env["test_len"])
-    tasks = cfg.get("tasks", [])
-    p = _resolve_p(cfg, train) if cfg.get("models") else None
+    p = resolve_p(train, cfg["p"], cfg["p_max"], cfg["det"]) if cfg["models"] else None
     short = []  # lag orders the training rows cannot fit fail before any output
-    for i, entry in enumerate(cfg.get("models", [])):
+    for i, entry in enumerate(cfg["models"]):
         kind = MODEL_KINDS[entry["kind"]]
         model = kind.build(entry, p, 0)
         if getattr(model, "p", None) is not None:
@@ -403,6 +433,8 @@ def run(cfg: dict, out_dir) -> dict:
     if short:
         raise ConfigError(short)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": echo,
         "lag_order": p,
@@ -422,7 +454,7 @@ def run(cfg: dict, out_dir) -> dict:
     cache = FitCache()  # the run's fit plan: the tasks share each distinct fit
     runners = {"forecast": _forecast_task, "granger": _granger_task, "irf": _irf_task,
                "one-step": _one_step_task}
-    for task in tasks:
+    for task in cfg["tasks"]:
         try:
             outputs += runners[task](cfg, data, train, test, p, out_dir, cache)
         except Exception as exc:  # report per task, keep running the rest

@@ -61,10 +61,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario {self.kind!r}; choose from {SCENARIO_KINDS}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_scenario(self.kind, self.seed)
 
     @property
     def noise_sd(self) -> float:
@@ -73,6 +70,15 @@ class ScenarioSpec:
     def params(self) -> LogisticParams:
         base = LogisticParams()
         return base.decoupled() if self.kind == "nointeraction" else base
+
+
+def check_scenario(kind=ScenarioSpec.kind, seed=ScenarioSpec.seed) -> None:
+    """Raise unless ``kind`` and ``seed`` make a ``ScenarioSpec``, which checks itself here;
+    so does ``validate_config``, as building a spec costs more in a freshly forked process."""
+    if kind not in SCENARIO_KINDS:
+        raise ValueError(f"unknown scenario {kind!r}; choose from {SCENARIO_KINDS}")
+    if type(seed) is not int or seed < 0:  # a bool is not a seed
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _step(params: LogisticParams, x: float, y: float) -> tuple[float, float]:

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from vanar import (
-    Dataset, VanarForecaster, VarForecaster, impulse_response, read_csv, write_csv,
+    Dataset, ScenarioSpec, VanarForecaster, VarForecaster, impulse_response, read_csv,
+    simulate_scenario, write_csv,
 )
+from vanar import experiment
 from vanar.cli import ingest_csv, main
-from vanar.experiment import ConfigError, list_presets, load_preset, run, validate_config
+from vanar.experiment import (
+    ConfigError, TaskError, list_presets, load_preset, run, validate_config,
+)
 
 FAST_MODELS = [
     {"kind": "var"},
@@ -127,9 +131,26 @@ class TestConfigValidation:
         (lambda c: c.update(tasks=["irf"], irf={"epsilon": True}), "irf.epsilon"),
         (lambda c: c.update(tasks=["granger"], granger={"test_len": 0}), "granger.test_len"),
         (lambda c: c.update(tasks=["granger"], granger={"horizon": 2.5}), "granger.horizon"),
+        (lambda c: c.update(p=0), "p must be a positive integer"),
+        (lambda c: c.update(p_max="x"), "p_max must be a positive integer"),
+        (lambda c: c.update(p_max=0), "p_max must be a positive integer"),
+        (lambda c: c.update(det="quadratic"), "det must be one of"),
+        (lambda c: c.update(scenario={"kind": "noise1", "seed": 1.5}), "seed must be"),
+        (lambda c: c.update(scenario={"kind": "noise1", "seed": True}), "seed must be"),
+        (lambda c: c.update(scenario="noise1"), "'scenario' must be an object"),
+        (lambda c: c.update(environment=[60, 10]), "'environment' must be an object"),
+        (lambda c: c.update(tasks=["granger"], granger=5), "'granger' must be an object"),
+        (lambda c: c.update(tasks=["irf"], irf=[1]), "'irf' must be an object"),
+        (lambda c: c.update(tasks="forecast"), "'tasks' must be a list"),
+        (lambda c: c.update(seed=[4]), "unknown key 'seed'"),
+        (lambda c: c.update(tasks=["granger"], granger={"centre": "y"}),
+         "granger: unknown key 'centre'"),
     ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
             "force_autoencoder", "model_p", "train_len", "seeds", "irf_horizon",
-            "irf_epsilon", "granger_test_len", "granger_horizon"])
+            "irf_epsilon", "granger_test_len", "granger_horizon", "run_p", "p_max_text",
+            "p_max_zero", "run_det", "scenario_seed_float", "scenario_seed_bool",
+            "scenario_type", "environment_type", "granger_type", "irf_type", "tasks_type",
+            "unknown_key", "unknown_section_key"])
     def test_bad_value_is_a_validation_problem(self, edit, problem):
         cfg = fast_config()
         edit(cfg)
@@ -150,7 +171,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="insufficient history") as exc:
             run(cfg, tmp_path / "out")
         assert len(exc.value.problems) == 2  # var and ar; vanar and ana need 32 rows
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_model_lag_order_checked_by_its_kind(self, tmp_path):
         models = [{"kind": "var", "p": 20}, {"kind": "vanar", "p": 40}, {"kind": "ana", "p": 49}]
@@ -158,14 +179,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             run(cfg, tmp_path / "out")
         assert [p.split(":")[0] for p in exc.value.problems] == ["models[0]", "models[2]"]
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["var", "vanar"])
     def test_null_model_lag_order_fails_before_the_manifest(self, tmp_path, kind):
         cfg = fast_config(models=[{"kind": "ar"}, {"kind": kind, "p": None}])
         with pytest.raises(ConfigError, match=r"models\[1\]: p must be a positive integer"):
             run(cfg, tmp_path / "out")
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x0", [[0.4], [0.4, 0.2, 0.1], 0.4], ids=["one", "three", "scalar"])
     def test_bad_start_state_fails_before_the_manifest(self, tmp_path, x0):
@@ -173,7 +194,16 @@ class TestConfigValidation:
         assert validate_config(cfg) == []  # the simulator owns the start-state rule
         with pytest.raises(ValueError, match="x0 must be two finite numbers"):
             run(cfg, tmp_path / "out")
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_short_csv_fails_before_any_output(self, tmp_path):
+        src = tmp_path / "data.csv"
+        write_csv(simulate_scenario(ScenarioSpec(), n=99), src)
+        cfg = fast_config(system={"csv": str(src)})  # 100 rows, 130 wanted
+        assert validate_config(cfg) == []
+        with pytest.raises(ValueError, match="csv has 100 rows, need train\\+test = 130"):
+            run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_run_raises_config_error_before_work(self, tmp_path):
         with pytest.raises(ConfigError) as exc:
@@ -201,6 +231,10 @@ class TestPresets:
         assert load_preset("default-medium350")["environment"]["train_len"] == 350
         assert load_preset("default-low")["environment"]["train_len"] == 50
         assert load_preset("noise1-high")["scenario"]["kind"] == "noise1"
+
+    def test_unknown_preset(self):
+        with pytest.raises(ValueError, match="unknown preset 'default-huge'"):
+            load_preset("default-huge")
 
 
 class TestRun:
@@ -265,6 +299,34 @@ class TestRun:
         truth = (tmp_path / kind / "irf_true.csv").read_bytes()
         assert truth == (tmp_path / "default" / "irf_true.csv").read_bytes()
 
+    def test_irf_only_config_needs_no_models(self, tmp_path):
+        cfg = fast_config(tasks=["irf"])
+        del cfg["models"]
+        result = run(cfg, tmp_path / "out")
+        assert [p.name for p in result["outputs"]] == ["irf_true.csv"]
+
+    def test_failed_task_is_reported_after_the_others_write(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("no response")
+
+        monkeypatch.setattr(experiment, "_irf_task", fail)
+        cfg = fast_config(tasks=["forecast", "irf", "granger"], models=[{"kind": "var"}])
+        with pytest.raises(TaskError, match="irf: no response") as exc:
+            run(cfg, tmp_path / "out")
+        assert exc.value.failures == {"irf": "no response"}
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == ["forecast_x.csv", "forecast_y.csv", "granger_var.csv", "manifest.json"]
+
+    def test_csv_source_reports_as_its_simulation(self, tmp_path):
+        cfg = fast_config(scenario={"kind": "noise2", "seed": 1}, tasks=["forecast", "granger"])
+        src = tmp_path / "noise2.csv"
+        write_csv(simulate_scenario(ScenarioSpec("noise2", 1), n=129), src)
+        run(cfg, tmp_path / "sim")
+        del cfg["scenario"]
+        run({**cfg, "system": {"csv": str(src)}}, tmp_path / "csv")
+        for name in ("forecast_x.csv", "forecast_y.csv", "granger_var.csv", "granger_vanar.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
+
     def test_one_step_task(self, tmp_path):
         cfg = fast_config(tasks=["one-step"], models=[{"kind": "naive"}, {"kind": "var"}])
         run(cfg, tmp_path / "out")
@@ -312,6 +374,52 @@ class TestCliProcess:
                      "--epsilon", "0.1", "--h", "5", "--out", str(irf)]) == 0
         header = irf.read_text().splitlines()[0]
         assert "x_response" in header and "y_shocked" in header
+
+    def test_ingest_cli_aggregates_and_logs(self, tmp_path):
+        rows = np.arange(1.0, 37.0).reshape(12, 3)
+        src, out = tmp_path / "monthly.csv", tmp_path / "clean.csv"
+        write_csv(Dataset(("a", "b", "c"), rows), src,
+                  dates=[f"2020-{m:02d}" for m in range(1, 13)])
+        assert main(["ingest", "--data", str(src), "--aggregate", "--log-columns", "a,c",
+                     "--out", str(out)]) == 0
+        data, dates = read_csv(out, return_dates=True)
+        quarters = rows.reshape(4, 3, 3).mean(axis=1)
+        quarters[:, [0, 2]] = np.log(quarters[:, [0, 2]])
+        assert dates is None  # month labels do not name quarters
+        assert data.names == ("a", "b", "c")
+        assert data.values.tolist() == quarters.tolist()
+
+    def test_ingest_cli_carries_the_date_column(self, tmp_path):
+        src, out = tmp_path / "raw.csv", tmp_path / "clean.csv"
+        dates = ["2021-01", "2021-02", "2021-03"]
+        write_csv(Dataset(("a", "b"), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), src, dates=dates)
+        assert main(["ingest", "--data", str(src), "--log-columns", "b", "--out", str(out)]) == 0
+        data, read_dates = read_csv(out, return_dates=True)
+        assert out.read_text().splitlines()[0] == "date,a,b"
+        assert read_dates == dates
+        assert data.values.tolist() == [[1.0, np.log(2.0)], [3.0, np.log(4.0)], [5.0, np.log(6.0)]]
+
+    def test_forecast_and_irf_of_a_vanar_model(self, tmp_path):
+        sim, model = tmp_path / "sim.csv", tmp_path / "vanar.json"
+        fc, irf = tmp_path / "fc.csv", tmp_path / "irf.csv"
+        assert main(["simulate", "--n", "120", "--out", str(sim)]) == 0
+        assert main(["fit-vanar", "--data", str(sim), "--p", "2", "--hidden", "8", "8",
+                     "--epochs", "5", "--out", str(model)]) == 0
+        assert main(["forecast", "--model", str(model), "--data", str(sim),
+                     "--h", "5", "--out", str(fc)]) == 0
+        assert main(["irf", "--model", str(model), "--data", str(sim), "--shock-var", "y",
+                     "--epsilon", "0.1", "--h", "5", "--out", str(irf)]) == 0
+        fitted, history = VanarForecaster.from_json(model.read_text()), read_csv(sim)
+        assert read_csv(fc).values.tolist() == fitted.forecast(history, 5).values.tolist()
+        table, expected = read_csv(irf), impulse_response(fitted, history, "y", 0.1, 5)
+        for var in ("x", "y"):
+            assert table.column(f"{var}_response").tolist() == expected.column(var).tolist()
+
+    def test_run_preset_with_scenario_seed(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "default-low", "--seed", "7", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["scenario"] == {"kind": "default", "seed": 7}
 
     def test_fit_vanar_cli(self, tmp_path):
         sim = tmp_path / "sim.csv"
