@@ -17,8 +17,8 @@ import numpy as np
 from .causality import causality_graph
 from .dataset import read_csv, write_csv, write_table
 from .experiment import (
-    CONFIG_DEFAULTS, MODEL_KINDS, ConfigError, TaskError, list_presets, load_config,
-    load_preset, resolve_p, run, write_granger_csv, write_irf_csv,
+    MODEL_KINDS, ConfigError, TaskError, list_presets, load_config, load_preset, resolve_p, run,
+    validate_config, write_granger_csv, write_irf_csv,
 )
 from .simulate import DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
 from .var import DET_OPTIONS, P_MAX, VarForecaster
@@ -57,12 +57,11 @@ def ingest_csv(path, aggregate: str | None = None, log_columns=(), return_dates:
 
 def _load_model(path: Path):
     text = Path(path).read_text(encoding="utf-8")
-    kind = json.loads(text).get("model")
-    if kind == "var":
-        return VarForecaster.from_json(text)
-    if kind == "vanar":
-        return VanarForecaster.from_json(text)
-    raise ValueError(f"unrecognized model document {path} (model={kind!r})")
+    doc = json.loads(text)
+    kind = doc.get("model") if type(doc) is dict else None
+    if kind not in ("var", "vanar"):
+        raise ValueError(f"unrecognized model document {path} (model={kind!r})")
+    return (VarForecaster if kind == "var" else VanarForecaster).from_json(text)
 
 
 def _add_simulate(sub):
@@ -219,11 +218,13 @@ def _add_run(sub):
         if (args.config is None) == (args.preset is None):
             raise SystemExit("run: provide exactly one of --config or --preset")
         cfg = load_config(args.config) if args.config else load_preset(args.preset)
-        if args.seed is not None:
-            cfg.setdefault("scenario", {})["seed"] = args.seed
-        out_dir = args.out or cfg.get("output_dir") or CONFIG_DEFAULTS["output_dir"]
         try:
-            result = run(cfg, out_dir)
+            problems = validate_config(cfg)  # the config as given, before --seed changes it
+            if problems:
+                raise ConfigError(problems)
+            if args.seed is not None:
+                cfg["scenario"] = {**cfg.get("scenario", {}), "seed": args.seed}
+            result = run(cfg, args.out)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             raise SystemExit(2)

@@ -25,24 +25,30 @@ from .dataset import Dataset, read_csv, read_csv_names, split_dataset, write_tab
 from .impulse import _shocked_and_unshocked
 from .metrics import rmse, rmsse
 from .simulate import (
-    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, check_scenario, simulate_scenario,
-    simulate_system1,
+    DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
-from .validation import check_hyperparameters, check_positive_int
+from .validation import (
+    COUNT, DET_OPTIONS, FLAG, INDEX, NAME, NUMBER, OBJECT, REQUIRED, SOURCE, TEXT,
+    check_hyperparameters, check_positive_int, check_table, follows,
+)
 from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
 
 TASKS = ("forecast", "granger", "irf", "one-step")
 
-# Every optional config key with its default, one level into the granger and irf
-# sections; any other key but "system" and "environment" is a problem. A None default is
-# worked out in the run (see the README's config keys). Filled configs share these
-# values, so nothing may mutate them.
-CONFIG_DEFAULTS = {
-    "scenario": {}, "x0": DEFAULT_X0, "models": [], "tasks": [], "seeds": [0],
-    "p": None, "p_max": P_MAX, "det": "none", "output_dir": "vanar-out",
-    "granger": {"center": None, "test_len": None, "horizon": None, "one_step": False},
-    "irf": {"shock_var": None, "epsilon": 0.1, "horizon": 20},
+# Every config key's default and rule, in ``validation``'s vocabulary. ``validate_config``
+# and ``run`` fill configs from it; they share its defaults, so nothing may mutate them.
+CONFIG = {
+    "system": (REQUIRED, SOURCE),
+    "environment": {"train_len": (REQUIRED, COUNT), "test_len": (REQUIRED, COUNT)},
+    "scenario": {"kind": ("default", SCENARIO_KINDS), "seed": (0, INDEX)},
+    "x0": (DEFAULT_X0, None),  # the simulator's rule, checked before any output
+    "models": ([], [OBJECT, 0]), "tasks": ([], [TASKS, 0]), "seeds": ([0], [INDEX, 1]),
+    "p": (None, COUNT), "p_max": (P_MAX, COUNT), "det": ("none", DET_OPTIONS),
+    "output_dir": ("vanar-out", TEXT),
+    "granger": {"center": (None, TEXT), "test_len": (None, COUNT),
+                "horizon": (None, COUNT), "one_step": (False, FLAG)},
+    "irf": {"shock_var": (None, TEXT), "epsilon": (0.1, NUMBER), "horizon": (20, COUNT)},
 }
 
 
@@ -109,69 +115,18 @@ class TaskError(RuntimeError):
         super().__init__("task failures:\n" + lines)
 
 
-def _filled(cfg: dict) -> dict:
-    """``cfg`` over ``CONFIG_DEFAULTS``, each section it gives as an object over its own."""
-    filled = {**CONFIG_DEFAULTS, **cfg}
-    for name in ("granger", "irf"):
-        if isinstance(cfg.get(name), dict):
-            filled[name] = {**CONFIG_DEFAULTS[name], **cfg[name]}
-    return filled
-
-
 def validate_config(cfg: dict) -> list[str]:
-    """All validation problems in ``cfg`` (empty list = valid)."""
+    """All validation problems in ``cfg`` (empty list = valid): each key's rule in
+    ``CONFIG``, then the rules that span keys."""
+    if type(cfg) is not dict:
+        return [f"a config must be an object, got {cfg!r}"]
     problems = []
-    for key in cfg:  # unknown keys as given: the top level, then each section
-        if key not in CONFIG_DEFAULTS and key not in ("system", "environment"):
-            allowed = sorted(("system", "environment", *CONFIG_DEFAULTS))
-            problems.append(f"unknown key {key!r}; allowed: {', '.join(allowed)}")
-    for name in ("granger", "irf"):
-        section = cfg.get(name)
-        for key in section if isinstance(section, dict) else ():
-            if key not in CONFIG_DEFAULTS[name]:
-                problems.append(f"{name}: unknown key {key!r}; "
-                                f"allowed: {', '.join(CONFIG_DEFAULTS[name])}")
-    cfg = _filled(cfg)
-    for name in ("environment", "scenario", "granger", "irf"):
-        if not isinstance(cfg.get(name), dict):
-            problems.append(f"'{name}' must be an object, got {cfg.get(name)!r}")
-            cfg[name] = CONFIG_DEFAULTS.get(name)  # None for environment: no counts
-
-    system = cfg.get("system")
-    if system is None:
-        problems.append("missing 'system' (either \"system1\" or {\"csv\": path})")
-    elif system != "system1" and not (isinstance(system, dict) and "csv" in system):
-        problems.append(f"'system' must be \"system1\" or {{\"csv\": path}}, got {system!r}")
-
-    if system == "system1":
-        try:
-            check_scenario(**cfg["scenario"])
-        except (TypeError, ValueError) as exc:
-            problems.append(f"bad 'scenario': {exc}")
-    elif isinstance(system, dict) and "csv" in system:
-        if not Path(system["csv"]).exists():
-            problems.append(f"csv file not found: {system['csv']}")
-
-    env = cfg["environment"]
-    counts = [("p_max", cfg["p_max"])]
-    if env is not None:  # else reported above
-        counts += [("environment.train_len", env.get("train_len")),
-                   ("environment.test_len", env.get("test_len"))]
-    if cfg["p"] is not None:  # None: the AIC order
-        counts.append(("p", cfg["p"]))
-    try:  # the AIC scan's deterministic terms
-        check_hyperparameters({"det": cfg["det"]})
-    except (TypeError, ValueError) as exc:
-        problems.append(str(exc))
-
-    models = cfg["models"]
-    if not isinstance(models, list) or not all(isinstance(m, dict) for m in models):
-        problems.append("'models' must be a list of objects")
-        models = []
-    kinds = []
-    for i, entry in enumerate(models):
+    cfg = check_table(CONFIG, cfg, "", problems)
+    system, tasks, granger, irf = cfg["system"], cfg["tasks"], cfg["granger"], cfg["irf"]
+    kinds, labels = [], {"true"}  # the labels that name files; irf_true.csv is the system's
+    for i, entry in enumerate(cfg["models"]):
         kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        if type(kind) is not str or kind not in MODEL_KINDS:
             problems.append(f"models[{i}].kind must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
             continue
         kinds.append(MODEL_KINDS[kind])
@@ -180,6 +135,13 @@ def validate_config(cfg: dict) -> list[str]:
             if key not in allowed:
                 problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
                                 f"allowed: {', '.join(allowed)}")
+        label = entry.get("label", kind)  # a report column, and a file name in granger and irf
+        if "label" in entry and not follows(label, NAME):
+            problems.append(f"models[{i}].label must be {NAME}, got {label!r}")
+        elif kinds[-1].multivariate and ("granger" in tasks or "irf" in tasks):
+            if label in labels:
+                problems.append(f"models[{i}]: label {label!r} (default: the kind) is taken")
+            labels.add(label)
         if "p" in entry and entry["p"] is None:  # left out, it is the run's order
             problems.append(f"models[{i}]: p must be a positive integer, got None")
         if len(entry) > 1 + ("label" in entry):  # it sets values: check them as fit will
@@ -188,52 +150,26 @@ def validate_config(cfg: dict) -> list[str]:
             except (TypeError, ValueError) as exc:
                 problems.append(f"models[{i}]: {exc}")
 
-    tasks = cfg["tasks"]
-    if not isinstance(tasks, list):
-        problems.append(f"'tasks' must be a list of task names, got {tasks!r}")
-        tasks = []
-    for task in tasks:
-        if task not in TASKS:
-            problems.append(f"unknown task {task!r}; tasks are {TASKS}")
-    if not models and tasks.count("irf") != len(tasks):  # only irf runs without models
+    if not cfg["models"] and tasks.count("irf") != len(tasks):  # only irf runs without models
         problems.append("tasks requested but no models configured")
-
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds) or not seeds:
-        problems.append(f"'seeds' must be a nonempty list of nonnegative integers, got {seeds!r}")
-
-    granger, irf = cfg["granger"], cfg["irf"]
-    if "granger" in tasks:
-        if not any(spec.multivariate for spec in kinds):
-            problems.append("granger task needs a 'var' or 'vanar' model entry")
-        for key in ("test_len", "horizon"):
-            if granger[key] is not None:
-                counts.append((f"granger.{key}", granger[key]))
-    if "irf" in tasks:
-        if system != "system1" and irf["shock_var"] is None:  # the simulated system has x, y
-            problems.append("irf task on csv data needs irf.shock_var")
-        eps = irf["epsilon"]
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool):
-            problems.append(f"irf.epsilon must be a number, got {eps!r}")
-        counts.append(("irf.horizon", irf["horizon"]))
-    for name, value in counts:
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            problems.append(f"{name} must be a positive integer, got {value!r}")
+    if "granger" in tasks and not any(spec.multivariate for spec in kinds):
+        problems.append("granger task needs a 'var' or 'vanar' model entry")
+    if "irf" in tasks and type(system) is dict and irf["shock_var"] is None:
+        problems.append("irf task on csv data needs irf.shock_var")  # system1 has x, y
+    env, test_len = cfg["environment"].values(), granger["test_len"]
+    if test_len is not None and REQUIRED not in env and test_len >= sum(env):
+        problems.append(f"granger.test_len {test_len} leaves none of the {sum(env)} rows to train")
 
     # referenced variables must exist in the data source
-    names = None
-    if system == "system1":
-        names = ("x", "y")
-    elif isinstance(system, dict) and "csv" in system and Path(system["csv"]).exists():
+    names = ("x", "y") if system == "system1" else None
+    if type(system) is dict:
         try:
             names = read_csv_names(system["csv"])
-        except (OSError, ValueError):
-            names = None
-    if names:
-        for name, value in (("granger.center", granger["center"]),
-                            ("irf.shock_var", irf["shock_var"])):
-            if value is not None and value not in names:
-                problems.append(f"{name} {value!r} not among variables {names}")
+        except (OSError, ValueError) as exc:
+            problems.append(f"cannot read the csv file: {exc}")
+    for name, value in (("granger.center", granger["center"]), ("irf.shock_var", irf["shock_var"])):
+        if names and value is not None and value not in names:
+            problems.append(f"{name} {value!r} not among variables {names}")
     return problems
 
 
@@ -329,15 +265,15 @@ def _forecast_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     """Appendix-style tables: one CSV per variable, rows = horizon, cols = model."""
     horizons = sorted({min(10, test.n_obs), test.n_obs})
     labels = [_model_label(e) for e in cfg["models"]]
-    per_var: dict[str, dict[str, dict[int, float]]] = {v: {} for v in data.names}
-    for i, var, fits in _model_runs(cfg, train, test, p, cache):
+    per_var: dict[str, list[dict[int, float]]] = {v: [] for v in data.names}  # entry order
+    for _, var, fits in _model_runs(cfg, train, test, p, cache):
         preds = [model.forecast(fit_train, test.n_obs).column(var) for model, fit_train, _ in fits]
-        per_var[var][labels[i]] = {
+        per_var[var].append({
             h: float(np.median([rmse(pred[:h], test.column(var)[:h]) for pred in preds]))
-            for h in horizons}
+            for h in horizons})
     paths = []
     for var in data.names:
-        rows = [[h] + [per_var[var][label][h] for label in labels] for h in horizons]
+        rows = [[h] + [cell[h] for cell in per_var[var]] for h in horizons]
         path = out_dir / f"forecast_{var}.csv"
         write_table(path, ["horizon"] + labels, rows)
         paths.append(path)
@@ -404,23 +340,22 @@ def _one_step_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     return [path]
 
 
-def run(cfg: dict, out_dir) -> dict:
-    """Execute a validated config; returns {"manifest": path, "outputs": [paths]}.
-
-    Raises ConfigError (listing every problem) before any work if the
-    config is invalid; nothing is written until the data are loaded and every
-    model's lag order fits them. Task failures propagate after the manifest is
-    written.
-    """
+def run(cfg: dict, out_dir=None) -> dict:
+    """Run a config in ``out_dir`` (None: its ``output_dir``): {"manifest": path, "outputs":
+    [paths]}. ConfigError lists every problem before any output: an invalid config, data that
+    cannot be loaded, a lag order they cannot fit. Task failures come after the manifest."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigError(problems)
     echo = {k: v for k, v in cfg.items() if k != "output_dir"}
-    cfg = _filled(cfg)
-    data = _load_data(cfg)
+    cfg = check_table(CONFIG, cfg, "", [])
     env = cfg["environment"]
-    train, test = split_dataset(data, env["train_len"], env["test_len"])
-    p = resolve_p(train, cfg["p"], cfg["p_max"], cfg["det"]) if cfg["models"] else None
+    try:  # the start state, a diverging simulation, a short csv or no AIC order
+        data = _load_data(cfg)
+        train, test = split_dataset(data, env["train_len"], env["test_len"])
+        p = resolve_p(train, cfg["p"], cfg["p_max"], cfg["det"]) if cfg["models"] else None
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
     short = []  # lag orders the training rows cannot fit fail before any output
     for i, entry in enumerate(cfg["models"]):
         kind = MODEL_KINDS[entry["kind"]]
@@ -433,21 +368,13 @@ def run(cfg: dict, out_dir) -> dict:
     if short:
         raise ConfigError(short)
 
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir or cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": echo,
-        "lag_order": p,
-        "versions": {
-            "vanar": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
-    }
+    versions = {"vanar": __version__, "numpy": np.__version__,
+                "python": ".".join(map(str, sys.version_info[:3]))}
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    manifest_path.write_text(json.dumps({"config": echo, "lag_order": p, "versions": versions},
+                                        indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     outputs: list[Path] = []
     failures: dict[str, str] = {}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import BaseForecaster
 from .dataset import Dataset
-from .validation import check_positive_int, check_same_length
+from .validation import INDEX, check_positive_int, check_same_length, follows
 
 DIVERGENCE_BOUND = 10.0
 
@@ -61,7 +61,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_scenario(self.kind, self.seed)
+        if not follows(self.kind, SCENARIO_KINDS):
+            raise ValueError(f"unknown scenario {self.kind!r}; choose from {SCENARIO_KINDS}")
+        if not follows(self.seed, INDEX):  # a bool is not a seed
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def noise_sd(self) -> float:
@@ -70,15 +73,6 @@ class ScenarioSpec:
     def params(self) -> LogisticParams:
         base = LogisticParams()
         return base.decoupled() if self.kind == "nointeraction" else base
-
-
-def check_scenario(kind=ScenarioSpec.kind, seed=ScenarioSpec.seed) -> None:
-    """Raise unless ``kind`` and ``seed`` make a ``ScenarioSpec``, which checks itself here;
-    so does ``validate_config``, as building a spec costs more in a freshly forked process."""
-    if kind not in SCENARIO_KINDS:
-        raise ValueError(f"unknown scenario {kind!r}; choose from {SCENARIO_KINDS}")
-    if type(seed) is not int or seed < 0:  # a bool is not a seed
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _step(params: LogisticParams, x: float, y: float) -> tuple[float, float]:

@@ -1,10 +1,24 @@
-"""Input validation helpers shared by the estimators."""
+"""Input validation helpers shared by the estimators, and the config rule vocabulary."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 DET_OPTIONS = ("none", "constant", "constant+trend")
+
+REQUIRED = object()  # the default of a config key that must be given
+
+# The config rule vocabulary: a kind below (the text of what it asks for), a tuple of the
+# allowed texts, or a list [rule, least] of at least ``least`` values that follow ``rule``.
+# A table maps a key to (default, rule) or to a section's table; a default (null included)
+# always passes, and so does any value of a rule None (its user checks it).
+COUNT, INDEX, FLAG, NUMBER = ("a positive integer", "a nonnegative integer", "true or false",
+                              "a number")
+TEXT, OBJECT, SOURCE = "a nonempty text", "an object", '"system1" or {"csv": path}'
+NAME = "a nonempty text of letters, digits, '_', '.', '+' and '-'"
+NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")
 
 
 def check_matrix(values, name: str = "values") -> np.ndarray:
@@ -64,9 +78,6 @@ def check_hyperparameters(params: dict) -> None:
     ``VanarForecaster.fit`` on its own (``VarForecaster`` on its ``det``), and
     ``validate_config`` on the values each model entry sets."""
     for name, value in params.items():
-        if name not in ("epochs", "patience", "batch_size", "p", "embedding_dim", "hidden_dims",
-                        "force_autoencoder", "validation_fraction", "learning_rate", "det"):
-            continue
         if name in ("epochs", "patience", "batch_size"):
             least = int(name == "batch_size")
             if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
@@ -86,3 +97,67 @@ def check_hyperparameters(params: dict) -> None:
             raise ValueError(f"learning_rate must be positive, got {value!r}")
         elif name == "det" and value not in DET_OPTIONS:
             raise ValueError(f"det must be one of {DET_OPTIONS}, got {value!r}")
+
+
+def follows(value, rule) -> bool:
+    """Whether ``value`` follows a config rule; a bool is no number."""
+    items = (value,)
+    if type(rule) is list:  # [rule, least]
+        if type(value) is not list or len(value) < rule[1]:
+            return False
+        items, rule = value, rule[0]
+    for item in items:  # one loop, as each cold call costs more in a freshly forked process
+        kind = type(item)
+        if not (type(rule) is not str and kind is str and item in rule  # a tuple of texts
+                or kind is int and (rule is NUMBER or item >= 0 and rule is INDEX
+                                    or item > 0 and rule is COUNT)
+                or kind is str and item != "" and (
+                    rule is TEXT or rule is NAME and NAME_CHARS.issuperset(item)
+                    or rule is SOURCE and item == "system1")
+                or kind is dict and (rule is OBJECT or rule is SOURCE and list(item) == ["csv"]
+                                     and follows(item["csv"], TEXT))
+                or kind is float and rule is NUMBER or kind is bool and rule is FLAG):
+            return False
+    return True
+
+
+def describe(rule) -> str:
+    if type(rule) is list:
+        return f"a {'nonempty ' if rule[1] else ''}list, each item {describe(rule[0])}"
+    return rule if type(rule) is str else f"one of {rule}"
+
+
+def check_table(table: dict, given: dict, name: str, problems: list) -> dict:
+    """``given`` filled from ``table``; a problem for each unknown key, section that is not an
+    object and value that breaks its rule (the default replaces it). ``name``: path and a dot."""
+    if not table.keys() >= given.keys():  # an unknown key
+        problems += [f"{name[:-1] + ': ' if name else ''}unknown key {key!r}; allowed: "
+                     f"{', '.join(table)}" for key in given if key not in table]
+    filled = {}
+    for key, rule in table.items():
+        if type(rule) is dict:  # an object section
+            value, found = given.get(key, {}), problems
+            if type(value) is not dict:
+                problems.append(f"'{name}{key}' must be an object, got {value!r}")
+                value, found = {}, []  # its defaults, without problems of its own keys
+            filled[key] = check_table(rule, value, f"{name}{key}.", found)
+            continue
+        default, rule = rule
+        value = given.get(key, default)
+        if value is REQUIRED:
+            problems.append(f"missing '{name}{key}' ({describe(rule)})")
+        elif rule is not None and value is not default and not follows(value, rule):
+            path = f"'{name}{key}'" if type(rule) is list else name + key
+            problems.append(f"{path} must be {describe(rule)}, got {value!r}")
+            value = default
+        filled[key] = value
+    return filled
+
+
+def check_model_document(text: str, model: str) -> dict:
+    """The JSON object in ``text``; ValueError unless a ``model`` document with a names list."""
+    doc = json.loads(text)
+    names = doc.get("names") if type(doc) is dict else None
+    if names is None or doc.get("model") != model or not follows(names, [TEXT, 0]):
+        raise ValueError(f"not a {model} model document with a list of names: {text[:60]!r}")
+    return doc

@@ -21,7 +21,9 @@ from .base import BaseForecaster
 from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, lag_matrix
-from .validation import check_fitted, check_hyperparameters, check_positive_int
+from .validation import (
+    check_fitted, check_hyperparameters, check_model_document, check_positive_int,
+)
 from .var import P_MAX, capped_p_max, select_lag_aic
 
 MIN_AUTOENCODER_LAG = 4
@@ -281,9 +283,7 @@ class VanarForecaster(BaseForecaster):
 
     @classmethod
     def from_json(cls, text: str) -> "VanarForecaster":
-        doc = json.loads(text)
-        if doc.get("model") != "vanar":
-            raise ValueError(f"not a VANAR model document (model={doc.get('model')!r})")
+        doc = check_model_document(text, "vanar")
         est = cls(p=doc["p"])
         est.p_ = doc["p"]
         est.names_ = tuple(doc["names"])

@@ -17,7 +17,7 @@ from .base import BaseForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
-    DET_OPTIONS, check_fitted, check_hyperparameters, check_positive_int,
+    DET_OPTIONS, check_fitted, check_hyperparameters, check_model_document, check_positive_int,
 )
 
 P_MAX = 15  # the largest lag order an AIC scan tries unless told otherwise
@@ -147,9 +147,7 @@ class VarForecaster(BaseForecaster):
 
     @classmethod
     def from_json(cls, text: str) -> "VarForecaster":
-        doc = json.loads(text)
-        if doc.get("model") != "var":
-            raise ValueError(f"not a VAR model document (model={doc.get('model')!r})")
+        doc = check_model_document(text, "var")
         est = cls(p=doc["p"], det=doc["det"])
         est.p_ = doc["p"]
         est.det_ = doc["det"]

@@ -145,12 +145,26 @@ class TestConfigValidation:
         (lambda c: c.update(seed=[4]), "unknown key 'seed'"),
         (lambda c: c.update(tasks=["granger"], granger={"centre": "y"}),
          "granger: unknown key 'centre'"),
+        (lambda c: c.update(system={"csv": 5}), "system must be"),
+        (lambda c: c.update(system={"csv": None}), "system must be"),
+        (lambda c: c["environment"].update(extra=1), "environment: unknown key 'extra'"),
+        (lambda c: c.update(scenario={"kind": "noise1", "sead": 1}), "scenario: unknown key"),
+        (lambda c: c.update(granger={"one_step": "no"}), "granger.one_step must be true or false"),
+        (lambda c: c.update(granger={"test_len": 130}), "granger.test_len 130 leaves none"),
+        (lambda c: c.update(output_dir=5), "output_dir must be a nonempty text"),
+        (lambda c: c["models"][0].update(label="x/../../esc"), "models[0].label must be"),
+        (lambda c: c.update(tasks=["granger"], models=[{"kind": "var"}, {"kind": "var"}]),
+         "models[1]: label 'var'"),
+        (lambda c: c.update(tasks=["irf"], models=[{"kind": "vanar", "label": "true"}]),
+         "models[0]: label 'true'"),
     ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
             "force_autoencoder", "model_p", "train_len", "seeds", "irf_horizon",
             "irf_epsilon", "granger_test_len", "granger_horizon", "run_p", "p_max_text",
             "p_max_zero", "run_det", "scenario_seed_float", "scenario_seed_bool",
             "scenario_type", "environment_type", "granger_type", "irf_type", "tasks_type",
-            "unknown_key", "unknown_section_key"])
+            "unknown_key", "unknown_section_key", "csv_int", "csv_null", "environment_key",
+            "scenario_key", "one_step_text", "granger_rows", "output_dir", "label_path",
+            "label_twice", "label_true"])
     def test_bad_value_is_a_validation_problem(self, edit, problem):
         cfg = fast_config()
         edit(cfg)
@@ -326,6 +340,13 @@ class TestRun:
         run({**cfg, "system": {"csv": str(src)}}, tmp_path / "csv")
         for name in ("forecast_x.csv", "forecast_y.csv", "granger_var.csv", "granger_vanar.csv"):
             assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes()
+
+    def test_entries_sharing_a_label_keep_their_own_columns(self, tmp_path):
+        cfg = fast_config(models=[{"kind": "ar", "p": 1}, {"kind": "ar", "p": 3}])
+        run(cfg, tmp_path / "out")
+        header, *rows = (tmp_path / "out" / "forecast_x.csv").read_text().splitlines()
+        assert header == "horizon,ar,ar"
+        assert all(row.split(",")[1] != row.split(",")[2] for row in rows)
 
     def test_one_step_task(self, tmp_path):
         cfg = fast_config(tasks=["one-step"], models=[{"kind": "naive"}, {"kind": "var"}])
@@ -523,6 +544,38 @@ class TestCliProcess:
         assert proc.returncode != 0
         assert "system" in proc.stderr
         assert "warp" in proc.stderr
+
+    @pytest.mark.parametrize("edit, args, problem", [
+        ({"output_dir": 5}, [], "output_dir must be a nonempty text, got 5"),
+        ({"scenario": "noise1"}, ["--seed", "3"], "'scenario' must be an object"),
+    ], ids=["output_dir", "seed_on_a_text_scenario"])
+    def test_run_refuses_a_bad_config_without_a_traceback(self, tmp_path, monkeypatch, capsys,
+                                                          edit, args, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fast_config(**edit)))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), *args])
+        assert exc.value.code == 2
+        assert problem in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("fit", [["fit-var"], ["fit-vanar", "--hidden", "4", "--epochs", "1"]],
+                             ids=["var", "vanar"])
+    @pytest.mark.parametrize("edit", [lambda doc: [], lambda doc: {**doc, "names": 5}],
+                             ids=["list", "names_5"])
+    def test_malformed_model_document_is_a_value_error(self, tmp_path, fit, edit):
+        sim, model, fc = tmp_path / "sim.csv", tmp_path / "m.json", tmp_path / "fc.csv"
+        assert main(["simulate", "--n", "40", "--out", str(sim)]) == 0
+        assert main([*fit, "--data", str(sim), "--p", "2", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        cls = VarForecaster if doc["model"] == "var" else VanarForecaster
+        model.write_text(json.dumps(edit(doc)))
+        with pytest.raises(ValueError, match="model document"):
+            cls.from_json(model.read_text())
+        assert main(["forecast", "--model", str(model), "--data", str(sim), "--h", "2",
+                     "--out", str(fc)]) == 1
+        assert not fc.exists()
 
     @pytest.mark.parametrize("command", [["fit-var"], ["fit-vanar", "--epochs", "1"],
                                          ["granger", "--model", "var"]],

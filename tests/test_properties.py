@@ -1,9 +1,14 @@
 """Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
 rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
-rows, JSON round trips), the scaler inversion and the AdaGrad step."""
+rows, JSON round trips), the scaler inversion, the AdaGrad step, and mutated configs."""
 
+import copy
 import functools
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,6 +19,8 @@ from vanar import (
     Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
     concat_datasets, impulse_path, impulse_response, rolling_one_step, simulate_system1,
 )
+from vanar.cli import main
+from vanar.experiment import list_presets, load_preset, validate_config
 from vanar.network import ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
@@ -372,3 +379,127 @@ def test_train_matches_reference_adagrad_loop():
     got = train(Mlp([5, 16, 16, 1]), X, Y, cfg)[0].parameters()
     expected = _reference_train(Mlp([5, 16, 16, 1]), X, Y, cfg)
     assert all(_same_bits(a, b) for a, b in zip(got, expected))
+
+
+# the config of tests/test_acceptance.py::test_criterion_11_end_to_end_determinism
+CRITERION_11 = {
+    "system": "system1", "scenario": {"kind": "default", "seed": 0},
+    "environment": {"train_len": 120, "test_len": 20},
+    "models": [{"kind": "var"}, {"kind": "ar"},
+               {"kind": "vanar", "hidden_dims": [16, 16], "epochs": 15},
+               {"kind": "ana", "hidden_dims": [16, 16], "epochs": 15}, {"kind": "naive"}],
+    "tasks": ["forecast", "granger", "irf", "one-step"], "seeds": [0, 1], "p": 4,
+    "irf": {"shock_var": "y", "epsilon": 0.1, "horizon": 10},
+}
+# its layout with models that fit in milliseconds, so that accepted mutations run
+CHEAP = {**CRITERION_11, "environment": {"train_len": 60, "test_len": 10}, "p": 2,
+         "models": [{"kind": "var"}, {"kind": "ar"}, {"kind": "naive"}],
+         "granger": {"test_len": 10, "one_step": False}, "output_dir": "vanar-out"}
+CHEAP_KINDS = ("var", "ar", "naive")
+BASES = {"criterion-11": CRITERION_11, "cheap": CHEAP,
+         **{name: load_preset(name) for name in list_presets()}}
+DROP, EXTRA = "<drop>", "extra"  # a mutation's value that deletes its key; an added key
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(-1e3, 1e3, allow_nan=False),
+    st.text("ab./-xy", max_size=6),
+    st.sampled_from(["var", "ar", "naive", "x", "y", "forecast", "granger", "irf", "system1"]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "csv", "seed", EXTRA]), st.integers(0, 3), max_size=2),
+)
+
+
+def _at(value, path):
+    return functools.reduce(lambda inner, key: inner[key], path, value)
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of everything inside it: dict keys and list indices."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def config_mutations(draw):
+    """(base, path, value, --seed or None): a key of a base config replaced by ``value``,
+    a key ``EXTRA`` added to one of its objects, or one of its object keys dropped."""
+    base = draw(st.one_of(st.just("cheap"), st.sampled_from(sorted(BASES))))
+    paths = list(_paths(BASES[base]))
+    objects = [p for p in paths if isinstance(_at(BASES[base], p), dict)]
+    action = draw(st.sampled_from(["replace", "add", "drop"]))
+    if action == "add":
+        path, value = draw(st.sampled_from(objects)) + (EXTRA,), draw(json_values)
+    elif action == "drop":
+        path, value = draw(st.sampled_from([p for p in paths[1:] if p[:-1] in objects])), DROP
+    else:
+        path, value = draw(st.sampled_from(paths[1:])), draw(json_values)
+    return base, path, value, draw(st.none() | st.integers(-1, 5))
+
+
+def _mutated(base, path, value):
+    """The mutated config, and the value the path held before (None if it was new)."""
+    cfg = copy.deepcopy(BASES[base])
+    target = _at(cfg, path[:-1])
+    before = target[path[-1]] if isinstance(target, list) else target.get(path[-1])
+    if value == DROP:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return cfg, before
+
+
+def _cli_run(cfg, seed, root: Path):
+    """``vanar run`` on ``cfg`` with ``--out root/a/b/out``: (exit code, stdout, stderr)."""
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["run", "--config", str(root / "cfg.json"), "--out", str(root / "a" / "b" / "out")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(argv + ([] if seed is None else ["--seed", str(seed)]))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(deadline=None, max_examples=150)
+@given(config_mutations())
+@example(("cheap", ("models", 0, "label"), "x/../../../esc", None)).via("wrote a/esc.csv")
+@example(("cheap", ("models", 1), {"kind": "var"}, None)).via("granger_var.csv twice")
+@example(("cheap", ("system",), {"csv": 5}, None)).via("validate_config raised TypeError")
+@example(("criterion-11", ("system",), {"csv": None}, None)).via("the same for null")
+@example(("cheap", ("environment", EXTRA), 1, None)).via("an unknown environment key passed")
+@example(("cheap", ("granger", "one_step"), "no", None)).via('"no" chose one-step scoring')
+@example(("cheap", ("granger", "test_len"), 70, None)).via("failed after manifest.json")
+@example(("cheap", ("output_dir",), 5, None)).via("vanar run printed a traceback")
+@example(("cheap", ("scenario",), "noise1", 3)).via("so did vanar run --seed")
+def test_mutated_config_is_refused_or_runs_inside_its_output_dir(case):
+    base, path, value, seed = case
+    cfg, before = _mutated(base, path, value)
+    problems = validate_config(cfg)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    if path[-1] == EXTRA:  # no key is named so
+        assert problems
+    if isinstance(before, (bool, str)) and path != ("system",) and value not in (None, DROP):
+        # a flag or a text replaced by another non-null type ("system" may become an object)
+        assert problems or type(value) is type(before)
+    models = cfg.get("models", [])
+    cheap = isinstance(models, list) and all(
+        isinstance(m, dict) and m.get("kind") in CHEAP_KINDS for m in models)
+    if problems or cheap:  # an accepted config with neural models would train them
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            code, stdout, stderr = _cli_run(cfg, seed, root)
+            assert code in (0, 1, 2) and (code == 2 or not problems), (code, stderr)
+            if code == 2:  # refused before any output
+                assert not (root / "a").exists()
+                return
+            out = root / "a" / "b" / "out"
+            written = [p for p in (root / "a").rglob("*") if p.is_file()]
+            assert all(out in p.parents for p in written), written
+            listed = [line[len("wrote "):] for line in stdout.splitlines()
+                      if line.startswith("wrote ")]
+            assert sorted(listed) == sorted(str(p) for p in written if p.name != "manifest.json")
+            # the one failure validation cannot foresee: a task's lag order on its rows
+            failures = [line for line in stderr.splitlines() if line.startswith("  - ")]
+            assert all("insufficient history" in line for line in failures), stderr
