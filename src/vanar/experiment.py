@@ -152,6 +152,8 @@ def validate_config(cfg: dict) -> list[str]:
 
     if not cfg["models"] and tasks.count("irf") != len(tasks):  # only irf runs without models
         problems.append("tasks requested but no models configured")
+    if len(set(tasks)) < len(tasks):  # a task run twice would write its files twice
+        problems.append(f"tasks must name each task once, got {tasks}")
     if "granger" in tasks and not any(spec.multivariate for spec in kinds):
         problems.append("granger task needs a 'var' or 'vanar' model entry")
     if "irf" in tasks and type(system) is dict and irf["shock_var"] is None:
@@ -303,24 +305,32 @@ def _granger_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
     return paths
 
 
-def _irf_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
+def _irf_shock(cfg, data) -> tuple:
+    """The irf task's (shock_var, epsilon, horizon)."""
     icfg = cfg["irf"]
-    shock_var = icfg["shock_var"] or data.names[-1]
-    epsilon, horizon, seed = float(icfg["epsilon"]), icfg["horizon"], cfg["seeds"][0]
+    return icfg["shock_var"] or data.names[-1], float(icfg["epsilon"]), icfg["horizon"]
+
+
+def _true_system(cfg, data, train) -> tuple:
+    """The true system and the rows it continues at the end of ``train``: the state the
+    system was in, not its noisy observation, i.e. the data's trajectory before
+    simulate_scenario adds the noise."""
+    params = ScenarioSpec(**cfg["scenario"]).params()
+    clean = simulate_system1(params, x0=cfg["x0"], n=data.n_obs - 1).rows(0, train.n_obs)
+    return TrueSystem(params), clean
+
+
+def _irf_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
+    shock, seed = _irf_shock(cfg, data), cfg["seeds"][0]
     paths = []
     for entry in cfg["models"]:  # each file written once its model is fitted
         kind = MODEL_KINDS[entry["kind"]]
         if kind.multivariate:
             paths.append(out_dir / f"irf_{_model_label(entry)}.csv")
-            write_irf_csv(cache.fit(kind.build(entry, p, seed), train), train, shock_var, epsilon,
-                          horizon, paths[-1])
+            write_irf_csv(cache.fit(kind.build(entry, p, seed), train), train, *shock, paths[-1])
     if cfg["system"] == "system1":
-        # the truth continues the state the system was in, not its noisy observation:
-        # the data's trajectory before simulate_scenario adds the noise
-        params = ScenarioSpec(**cfg["scenario"]).params()
-        clean = simulate_system1(params, x0=cfg["x0"], n=data.n_obs - 1).rows(0, train.n_obs)
         paths.append(out_dir / "irf_true.csv")
-        write_irf_csv(TrueSystem(params), clean, shock_var, epsilon, horizon, paths[-1])
+        write_irf_csv(*_true_system(cfg, data, train), *shock, paths[-1])
     return paths
 
 
@@ -343,28 +353,39 @@ def _one_step_task(cfg, data, train, test, p, out_dir, cache) -> list[Path]:
 def run(cfg: dict, out_dir=None) -> dict:
     """Run a config in ``out_dir`` (None: its ``output_dir``): {"manifest": path, "outputs":
     [paths]}. ConfigError lists every problem before any output: an invalid config, data that
-    cannot be loaded, a lag order they cannot fit. Task failures come after the manifest."""
+    cannot be loaded, a lag order they cannot fit, an irf shock the true system diverges
+    from. Task failures come after the manifest."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigError(problems)
     echo = {k: v for k, v in cfg.items() if k != "output_dir"}
     cfg = check_table(CONFIG, cfg, "", [])
     env = cfg["environment"]
-    try:  # the start state, a diverging simulation, a short csv or no AIC order
+    # before any output: a bad start state, a diverging simulation, a short csv, no AIC
+    # order, or an irf shock that drives the true system's path out of bounds
+    try:
         data = _load_data(cfg)
         train, test = split_dataset(data, env["train_len"], env["test_len"])
         p = resolve_p(train, cfg["p"], cfg["p_max"], cfg["det"]) if cfg["models"] else None
+        if "irf" in cfg["tasks"] and cfg["system"] == "system1":
+            _shocked_and_unshocked(*_true_system(cfg, data, train), *_irf_shock(cfg, data))
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     short = []  # lag orders the training rows cannot fit fail before any output
+    granger_len = cfg["granger"]["test_len"] if "granger" in cfg["tasks"] else None
     for i, entry in enumerate(cfg["models"]):
         kind = MODEL_KINDS[entry["kind"]]
         model = kind.build(entry, p, 0)
-        if getattr(model, "p", None) is not None:
+        if getattr(model, "p", None) is None:
+            continue
+        fits = [("", train.n_obs, train.n_vars if kind.multivariate else 1)]
+        if kind.multivariate and granger_len:  # granger fits pairs on the rows before its test
+            fits.append((" in granger", data.n_obs - granger_len, min(2, data.n_vars)))
+        for where, rows, n_vars in fits:
             try:
-                model._check_rows(train.n_obs, train.n_vars if kind.multivariate else 1, model.p)
+                model._check_rows(rows, n_vars, model.p)
             except ValueError as exc:
-                short.append(f"models[{i}]: {exc}")
+                short.append(f"models[{i}]{where}: {exc}")
     if short:
         raise ConfigError(short)
 

@@ -22,7 +22,8 @@ from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, lag_matrix
 from .validation import (
-    check_fitted, check_hyperparameters, check_model_document, check_positive_int,
+    OBJECT, check_fitted, check_hyperparameters, check_model_document, check_positive_int,
+    follows,
 )
 from .var import P_MAX, capped_p_max, select_lag_aic
 
@@ -160,7 +161,9 @@ class VanarForecaster(BaseForecaster):
 
     Attributes (after fit)
     ----------
-    heads_ : list of Mlp, one per variable (scalar output each)
+    heads_ : list of Mlp, one per variable (scalar output each); their weights and
+        biases are views of one stacked array per layer, which ``_predict`` runs, so
+        edit them in place and do not rebind them
     autoencoder_ : Autoencoder or None
     scaler_ : StandardScaler fitted on the training rows
     activated_ : bool
@@ -238,6 +241,7 @@ class VanarForecaster(BaseForecaster):
         self.p_ = p
         self.names_ = data.names
         self.n_vars_ = N
+        self._stack_heads()
         return self
 
     def _fit_heads(self, inputs, targets, n_vars, ae_tag):
@@ -258,13 +262,39 @@ class VanarForecaster(BaseForecaster):
     def _from_model(self, values: np.ndarray) -> np.ndarray:
         return self.scaler_.inverse_transform(values)
 
+    def _stack_heads(self) -> None:
+        """Move the heads' weights and biases into one stacked array per layer, slot j
+        for head j, and rebind each head's arrays to views of its slots: one copy of
+        the parameters, which ``_predict`` runs one layer at a time for all heads."""
+        self._stack = []
+        for i, act in enumerate(self.heads_[0].activations):
+            W = np.stack([head.weights[i] for head in self.heads_])  # (n, out, in)
+            b = np.stack([head.biases[i] for head in self.heads_])  # (n, out)
+            for j, head in enumerate(self.heads_):
+                head.weights[i], head.biases[i] = W[j], b[j]
+            # shaped to broadcast over (B, 1, in) rows: (n, 1, in, out) and (n, 1, 1, out)
+            self._stack.append((W[:, None].swapaxes(-1, -2), b[:, None, None], act))
+
     def _predict(self, lags: np.ndarray, t=None) -> np.ndarray:
         """Scaled predictions (..., N) from scaled lag vectors (..., p*N); the
-        heads read no time index ``t``."""
-        x = lags
+        heads read no time index ``t``.
+
+        Each lag vector goes through every layer of every head as a lone (1, d)
+        row, so each (head, row) pair gets the BLAS matrix-vector product that a
+        lone row gets in ``Mlp.forward``: the answers are bit for bit those of
+        one head and one row at a time.
+        """
+        lags = np.asarray(lags, dtype=np.float64)
+        x = lags.reshape(-1, 1, lags.shape[-1])  # (B, 1, p*N)
         if self.activated_:
-            x = np.concatenate([lags, self.autoencoder_.encode(lags)], axis=-1)
-        return np.concatenate([head.forward(x) for head in self.heads_], axis=-1)
+            x = np.concatenate([x, self.autoencoder_.encode(x)], axis=-1)
+        for W, b, act in self._stack:  # x becomes (n_heads, B, 1, out)
+            x = x @ W
+            x += b
+            if act == "relu":
+                np.maximum(x, 0.0, out=x)
+        out = np.ascontiguousarray(x.reshape(len(x), -1).T)  # (B, n_heads)
+        return out.reshape(lags.shape[:-1] + (-1,))
 
     forecast = BaseForecaster.forecast  # the class's own attribute, so tracing can wrap it
 
@@ -293,6 +323,8 @@ class VanarForecaster(BaseForecaster):
         est.autoencoder_ = (
             Autoencoder.from_dict(doc["autoencoder"]) if doc["autoencoder"] else None
         )
+        if not follows(doc["heads"], [OBJECT, 1]):
+            raise ValueError(f"heads must be a nonempty list of objects: {doc['heads']!r:.60}")
         est.heads_ = [Mlp.from_dict(h) for h in doc["heads"]]
         N = est.n_vars_
         if est.scaler_.mean_.shape != (N,) or est.scaler_.scale_.shape != (N,):
@@ -307,4 +339,8 @@ class VanarForecaster(BaseForecaster):
         if any(h.layer_dims[0] != width for h in est.heads_):
             raise ValueError(f"heads take {[h.layer_dims[0] for h in est.heads_]} inputs; "
                              f"p={est.p_}, {N} names and the autoencoder give {width}")
+        layouts = [(h.layer_dims, h.activations) for h in est.heads_]
+        if any(layout != layouts[0] for layout in layouts):
+            raise ValueError(f"heads must share one (layer_dims, activations), got {layouts}")
+        est._stack_heads()
         return est

@@ -157,6 +157,7 @@ class TestConfigValidation:
          "models[1]: label 'var'"),
         (lambda c: c.update(tasks=["irf"], models=[{"kind": "vanar", "label": "true"}]),
          "models[0]: label 'true'"),
+        (lambda c: c.update(tasks=["forecast", "forecast"]), "tasks must name each task once"),
     ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
             "force_autoencoder", "model_p", "train_len", "seeds", "irf_horizon",
             "irf_epsilon", "granger_test_len", "granger_horizon", "run_p", "p_max_text",
@@ -164,7 +165,7 @@ class TestConfigValidation:
             "scenario_type", "environment_type", "granger_type", "irf_type", "tasks_type",
             "unknown_key", "unknown_section_key", "csv_int", "csv_null", "environment_key",
             "scenario_key", "one_step_text", "granger_rows", "output_dir", "label_path",
-            "label_twice", "label_true"])
+            "label_twice", "label_true", "tasks_twice"])
     def test_bad_value_is_a_validation_problem(self, edit, problem):
         cfg = fast_config()
         edit(cfg)
@@ -185,6 +186,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="insufficient history") as exc:
             run(cfg, tmp_path / "out")
         assert len(exc.value.problems) == 2  # var and ar; vanar and ana need 32 rows
+        assert not (tmp_path / "out").exists()
+
+    def test_granger_split_too_short_fails_before_any_output(self, tmp_path):
+        cfg = {"system": "system1", "environment": {"train_len": 60, "test_len": 10},
+               "models": [{"kind": "var"}], "tasks": ["granger"], "p": 10,
+               "granger": {"test_len": 45}}  # granger fits its pairs on the first 25 rows
+        with pytest.raises(ConfigError) as exc:
+            run(cfg, tmp_path / "out")
+        assert exc.value.problems == ["models[0] in granger: insufficient history: lag order 10 "
+                                      "on 2 variable(s) needs 31 rows, got 25"]
         assert not (tmp_path / "out").exists()
 
     def test_model_lag_order_checked_by_its_kind(self, tmp_path):
@@ -575,6 +586,18 @@ class TestCliProcess:
             cls.from_json(model.read_text())
         assert main(["forecast", "--model", str(model), "--data", str(sim), "--h", "2",
                      "--out", str(fc)]) == 1
+        assert not fc.exists()
+
+    @pytest.mark.parametrize("heads", [5, [5, 5]], ids=["int", "items"])
+    def test_malformed_vanar_heads_exit_1(self, tmp_path, capsys, heads):
+        sim, model, fc = tmp_path / "sim.csv", tmp_path / "m.json", tmp_path / "fc.csv"
+        assert main(["simulate", "--n", "40", "--out", str(sim)]) == 0
+        assert main(["fit-vanar", "--hidden", "4", "--epochs", "1", "--data", str(sim),
+                     "--p", "2", "--out", str(model)]) == 0
+        model.write_text(json.dumps({**json.loads(model.read_text()), "heads": heads}))
+        assert main(["forecast", "--model", str(model), "--data", str(sim), "--h", "2",
+                     "--out", str(fc)]) == 1
+        assert "heads must be a nonempty list of objects" in capsys.readouterr().err
         assert not fc.exists()
 
     @pytest.mark.parametrize("command", [["fit-var"], ["fit-vanar", "--epochs", "1"],

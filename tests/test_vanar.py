@@ -187,6 +187,13 @@ class TestRollingVsRecursive:
         assert not np.array_equal(recursive.values[1:], rolling.values[1:])
 
 
+def _narrow_hidden_layer(head):
+    """A head document whose one hidden layer loses a unit, its shapes kept consistent."""
+    head["layer_dims"][1] -= 1
+    head["weights"] = [head["weights"][0][:-1], [head["weights"][1][0][:-1]]]
+    head["biases"][0].pop()
+
+
 class TestSerialization:
     def test_roundtrip_preserves_forecasts(self):
         data = chaotic(250)
@@ -208,8 +215,14 @@ class TestSerialization:
         (lambda d: d["heads"][1]["biases"][0].pop(), "layer_dims give"),
         (lambda d: d.update(p=5), "heads take"),
         (lambda d: d.update(activated=False, autoencoder=None), "heads take"),
+        (lambda d: d.update(heads=5), "nonempty list of objects"),
+        (lambda d: d.update(heads=[5, 5]), "nonempty list of objects"),
+        (lambda d: d.update(heads=[]), "nonempty list of objects"),
+        (lambda d: _narrow_hidden_layer(d["heads"][1]), "share one"),
+        (lambda d: d["heads"][1].update(activations=["linear", "linear"]), "share one"),
     ], ids=["scaler-mean", "scaler-scale", "head-missing", "head-extra", "autoencoder-missing",
-            "embedding-dim", "head-bias", "head-width-p", "head-width-autoencoder"])
+            "embedding-dim", "head-bias", "head-width-p", "head-width-autoencoder", "heads-int",
+            "heads-items", "heads-empty", "head-layout-dims", "head-layout-activations"])
     def test_malformed_document_rejected(self, edit, message):
         model = VanarForecaster(p=4, hidden_dims=(4,), epochs=2, force_autoencoder=True)
         doc = json.loads(model.fit(chaotic(60)).to_json())
