@@ -49,11 +49,6 @@ class CausalityGraph:
         return [e for e in self.edges if e.score > 0]
 
 
-def _median_index(n: int) -> int:
-    # lower median keeps the reported (full, uni) pair tied to one real run
-    return (n - 1) // 2
-
-
 def rolling_one_step(model, history: Dataset, actual: Dataset) -> Dataset:
     """One-step-ahead predictions over ``actual`` using true values as inputs.
 
@@ -63,51 +58,6 @@ def rolling_one_step(model, history: Dataset, actual: Dataset) -> Dataset:
     if history.names != actual.names:
         raise ValueError(f"variable mismatch: {history.names} vs {actual.names}")
     return model._one_step(history, actual)
-
-
-def _test_rmse(model, train: Dataset, test: Dataset, target: str, horizon: int,
-               one_step: bool) -> float:
-    if one_step:
-        pred = rolling_one_step(model, train, test)
-        return rmse(pred.column(target), test.column(target))
-    pred = model.forecast(train, horizon)
-    return rmse(pred.column(target)[:horizon], test.column(target)[:horizon])
-
-
-def _horizon(data: Dataset, test_len: int, horizon: int | None) -> int:
-    if test_len >= data.n_obs:
-        raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
-    return test_len if horizon is None else min(horizon, test_len)
-
-
-def _fitter(data: Dataset, model_factory, test_len: int, cache: FitCache | None):
-    """``fit(variables, seed) -> (model, train, test)``, fitting each distinct model once
-    through ``cache``, or through a cache of its own if none is given."""
-    train_len = data.n_obs - test_len
-    cache = FitCache() if cache is None else cache
-
-    def fit(variables: tuple[str, ...], seed) -> tuple:
-        train, test = split_dataset(data.select(list(variables)), train_len, test_len)
-        return cache.fit(model_factory(list(variables), seed), train), train, test
-
-    return fit
-
-
-def _score(fit, full_vars: tuple[str, ...], source: str, target: str, seeds, horizon: int,
-           one_step: bool) -> CausalityEdge:
-    """Median-seed edge: per seed, the full model's target error against the univariate one's."""
-    scored = []
-    for seed in seeds:
-        full = fit(full_vars, seed)
-        uni = fit((target,), seed)
-        l_full = _test_rmse(*full, target, horizon, one_step)
-        l_uni = _test_rmse(*uni, target, horizon, one_step)
-        if l_uni == 0.0:
-            raise ValueError("degenerate test split: univariate error is zero")
-        scored.append((1.0 - l_full / l_uni, l_full, l_uni))
-    scored.sort(key=lambda s: s[0])
-    score, l_full, l_uni = scored[_median_index(len(scored))]
-    return CausalityEdge(source, target, score, l_full, l_uni)
 
 
 def causality_score(
@@ -136,11 +86,30 @@ def causality_score(
         raise ValueError(f"target {target!r} cannot be among the cause variables")
     if not cause_vars:
         raise ValueError("need at least one cause variable")
-    horizon = _horizon(data, test_len, horizon)
+    if test_len >= data.n_obs:
+        raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
+    # one-step scoring covers the whole test block
+    horizon = test_len if horizon is None or one_step else min(horizon, test_len)
+    cache = FitCache() if cache is None else cache
     # keep the dataset's own column order for reproducible designs
-    full_vars = tuple(n for n in data.names if n in set(cause_vars) | {target})
-    fit = _fitter(data, model_factory, test_len, cache)
-    return _score(fit, full_vars, "+".join(cause_vars), target, seeds, horizon, one_step)
+    full_vars = [n for n in data.names if n in set(cause_vars) | {target}]
+    scored = []
+    for seed in seeds:
+        errors = []
+        for variables in (full_vars, [target]):
+            train, test = split_dataset(data.select(variables), data.n_obs - test_len, test_len)
+            model = cache.fit(model_factory(variables, seed), train)
+            pred = (rolling_one_step(model, train, test) if one_step
+                    else model.forecast(train, horizon))
+            errors.append(rmse(pred.column(target)[:horizon], test.column(target)[:horizon]))
+        l_full, l_uni = errors
+        if l_uni == 0.0:
+            raise ValueError("degenerate test split: univariate error is zero")
+        scored.append((1.0 - l_full / l_uni, l_full, l_uni))
+    scored.sort(key=lambda s: s[0])
+    # the lower median keeps the reported (full, uni) pair tied to one real run
+    score, l_full, l_uni = scored[(len(scored) - 1) // 2]
+    return CausalityEdge("+".join(cause_vars), target, score, l_full, l_uni)
 
 
 def causality_graph(
@@ -155,21 +124,17 @@ def causality_graph(
 ) -> CausalityGraph:
     """Pairwise scores in both directions between ``center`` and every other variable.
 
-    No edges are computed among the non-center variables. Each full
-    (pair) model is fitted once and reused for both directions of that
-    pair (``cache`` as in ``causality_score``); rendered graphs keep only
+    Each edge is one ``causality_score`` call over one ``FitCache`` (``cache``, or
+    a new one), so each pair model is fitted once for both directions. No edges
+    are computed among the non-center variables; rendered graphs keep only
     positive-score edges.
     """
     if data.n_vars < 2:
         raise ValueError("causality graph needs at least 2 variables")
     data.index_of(center)
-    horizon = _horizon(data, test_len, horizon)
-    fit = _fitter(data, model_factory, test_len, cache)
-    edges = []
-    for other in data.names:
-        if other == center:
-            continue
-        pair = tuple(n for n in data.names if n in (center, other))
-        for source, target in ((other, center), (center, other)):
-            edges.append(_score(fit, pair, source, target, seeds, horizon, one_step))
+    cache = FitCache() if cache is None else cache
+    edges = [causality_score(data, source, target, model_factory, seeds, test_len, horizon,
+                             one_step, cache)
+             for other in data.names if other != center
+             for source, target in ((other, center), (center, other))]
     return CausalityGraph(center=center, edges=edges)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import check_hyperparameters
+from .validation import COUNT, NUMBER, check_fields, check_hyperparameters
 
 ACTIVATIONS = ("relu", "linear")
 ADAGRAD_EPSILON = 1e-8  # added to the root of each AdaGrad accumulator before dividing
@@ -152,8 +152,10 @@ class Mlp:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mlp":
-        """Network from :meth:`to_dict` output; ValueError unless every weight
-        and bias has the shape ``layer_dims`` gives it."""
+        """Network from :meth:`to_dict` output; ValueError unless ``d`` holds such fields
+        and every weight and bias has the shape ``layer_dims`` gives it."""
+        check_fields(d, {"layer_dims": [COUNT, 2], "activations": [ACTIVATIONS, 1],
+                         "weights": [[[NUMBER, 1], 1], 1], "biases": [[NUMBER, 1], 1]}, "network")
         net = cls(d["layer_dims"], d["activations"])
         weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]

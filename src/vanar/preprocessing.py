@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .validation import check_matrix
+from .validation import NUMBER, check_fields, check_matrix
 
 
 def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
@@ -103,6 +103,7 @@ class StandardScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardScaler":
+        check_fields(d, {"mean": [NUMBER, 1], "scale": [NUMBER, 1]}, "scaler")
         sc = cls()
         sc.mean_ = np.asarray(d["mean"], dtype=np.float64)
         sc.scale_ = np.asarray(d["scale"], dtype=np.float64)

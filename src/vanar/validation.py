@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -10,10 +11,11 @@ DET_OPTIONS = ("none", "constant", "constant+trend")
 
 REQUIRED = object()  # the default of a config key that must be given
 
-# The config rule vocabulary: a kind below (the text of what it asks for), a tuple of the
-# allowed texts, or a list [rule, least] of at least ``least`` values that follow ``rule``.
-# A table maps a key to (default, rule) or to a section's table; a default (null included)
-# always passes, and so does any value of a rule None (its user checks it).
+# The config and model-document rule vocabulary: a kind below (the text of what it asks for),
+# a tuple of the allowed texts, or a list [rule, least] of at least ``least`` values that
+# follow ``rule`` (itself a list for nested lists). A table maps a key to (default, rule) or
+# to a section's table; a default (null included) always passes, and so does any value of a
+# rule None (its user checks it).
 COUNT, INDEX, FLAG, NUMBER = ("a positive integer", "a nonnegative integer", "true or false",
                               "a number")
 TEXT, OBJECT, SOURCE = "a nonempty text", "an object", '"system1" or {"csv": path}'
@@ -89,12 +91,14 @@ def check_hyperparameters(params: dict) -> None:
                 raise ValueError(f"hidden_dims must be a list of widths, got {value!r}")
             for width in value:
                 check_positive_int(width, "each of hidden_dims")
-        elif name == "force_autoencoder" and value not in (None, True, False):
+        elif name == "force_autoencoder" and value is not None and type(value) is not bool:
             raise ValueError(f"force_autoencoder must be a bool or None, got {value!r}")
-        elif name == "validation_fraction" and not (hasattr(value, "__float__") and 0 <= value < 1):
+        elif name == "validation_fraction" and (isinstance(value, bool) or not (
+                hasattr(value, "__float__") and 0 <= value < 1)):
             raise ValueError(f"validation_fraction must be in [0, 1), got {value!r}")
-        elif name == "learning_rate" and not (hasattr(value, "__float__") and value > 0):
-            raise ValueError(f"learning_rate must be positive, got {value!r}")
+        elif name == "learning_rate" and (isinstance(value, bool) or not (
+                hasattr(value, "__float__") and 0 < value < math.inf)):
+            raise ValueError(f"learning_rate must be positive and finite, got {value!r}")
         elif name == "det" and value not in DET_OPTIONS:
             raise ValueError(f"det must be one of {DET_OPTIONS}, got {value!r}")
 
@@ -108,7 +112,7 @@ def follows(value, rule) -> bool:
         items, rule = value, rule[0]
     for item in items:  # one loop, as each cold call costs more in a freshly forked process
         kind = type(item)
-        if not (type(rule) is not str and kind is str and item in rule  # a tuple of texts
+        if not (type(rule) is tuple and kind is str and item in rule
                 or kind is int and (rule is NUMBER or item >= 0 and rule is INDEX
                                     or item > 0 and rule is COUNT)
                 or kind is str and item != "" and (
@@ -116,7 +120,8 @@ def follows(value, rule) -> bool:
                     or rule is SOURCE and item == "system1")
                 or kind is dict and (rule is OBJECT or rule is SOURCE and list(item) == ["csv"]
                                      and follows(item["csv"], TEXT))
-                or kind is float and rule is NUMBER or kind is bool and rule is FLAG):
+                or kind is float and rule is NUMBER or kind is bool and rule is FLAG
+                or type(rule) is list and follows(item, rule)):
             return False
     return True
 
@@ -154,10 +159,22 @@ def check_table(table: dict, given: dict, name: str, problems: list) -> dict:
     return filled
 
 
-def check_model_document(text: str, model: str) -> dict:
-    """The JSON object in ``text``; ValueError unless a ``model`` document with a names list."""
+def check_fields(doc, rules: dict, what: str) -> dict:
+    """``doc``; ValueError unless it is an object whose value at each key of ``rules``
+    follows that key's rule (a missing key reads as null)."""
+    if type(doc) is not dict:
+        raise ValueError(f"{what} must be an object, got {doc!r:.60}")
+    for key, rule in rules.items():
+        if not follows(doc.get(key), rule):
+            raise ValueError(f"{what} {key} must be {describe(rule)}, got {doc.get(key)!r:.60}")
+    return doc
+
+
+def check_model_document(text: str, model: str, rules: dict) -> dict:
+    """The JSON object in ``text``; ValueError unless a ``model`` document with a names list
+    whose fields follow ``rules``."""
     doc = json.loads(text)
     names = doc.get("names") if type(doc) is dict else None
     if names is None or doc.get("model") != model or not follows(names, [TEXT, 0]):
         raise ValueError(f"not a {model} model document with a list of names: {text[:60]!r}")
-    return doc
+    return check_fields(doc, rules, f"{model} model")

@@ -22,8 +22,8 @@ from .dataset import Dataset
 from .network import Mlp, TrainConfig, train
 from .preprocessing import StandardScaler, lag_matrix
 from .validation import (
-    OBJECT, check_fitted, check_hyperparameters, check_model_document, check_positive_int,
-    follows,
+    COUNT, FLAG, NUMBER, OBJECT, check_fields, check_fitted, check_hyperparameters,
+    check_model_document, check_positive_int, follows,
 )
 from .var import P_MAX, capped_p_max, select_lag_aic
 
@@ -65,6 +65,8 @@ class Autoencoder:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Autoencoder":
+        check_fields(d, {"encoder": OBJECT, "decoder": OBJECT, "embedding_dim": COUNT,
+                         "reconstruction_error": NUMBER}, "autoencoder")
         return cls(
             Mlp.from_dict(d["encoder"]),
             Mlp.from_dict(d["decoder"]),
@@ -313,18 +315,17 @@ class VanarForecaster(BaseForecaster):
 
     @classmethod
     def from_json(cls, text: str) -> "VanarForecaster":
-        doc = check_model_document(text, "vanar")
+        doc = check_model_document(text, "vanar", {"p": COUNT, "activated": FLAG})
         est = cls(p=doc["p"])
         est.p_ = doc["p"]
         est.names_ = tuple(doc["names"])
         est.n_vars_ = len(est.names_)
         est.activated_ = doc["activated"]
-        est.scaler_ = StandardScaler.from_dict(doc["scaler"])
-        est.autoencoder_ = (
-            Autoencoder.from_dict(doc["autoencoder"]) if doc["autoencoder"] else None
-        )
-        if not follows(doc["heads"], [OBJECT, 1]):
-            raise ValueError(f"heads must be a nonempty list of objects: {doc['heads']!r:.60}")
+        est.scaler_ = StandardScaler.from_dict(doc.get("scaler"))
+        ae = doc.get("autoencoder")
+        est.autoencoder_ = None if ae is None else Autoencoder.from_dict(ae)
+        if not follows(doc.get("heads"), [OBJECT, 1]):
+            raise ValueError(f"heads must be a nonempty list of objects: {doc.get('heads')!r:.60}")
         est.heads_ = [Mlp.from_dict(h) for h in doc["heads"]]
         N = est.n_vars_
         if est.scaler_.mean_.shape != (N,) or est.scaler_.scale_.shape != (N,):

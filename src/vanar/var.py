@@ -17,7 +17,8 @@ from .base import BaseForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
-    DET_OPTIONS, check_fitted, check_hyperparameters, check_model_document, check_positive_int,
+    COUNT, DET_OPTIONS, NUMBER, check_fitted, check_hyperparameters, check_model_document,
+    check_positive_int,
 )
 
 P_MAX = 15  # the largest lag order an AIC scan tries unless told otherwise
@@ -147,7 +148,9 @@ class VarForecaster(BaseForecaster):
 
     @classmethod
     def from_json(cls, text: str) -> "VarForecaster":
-        doc = check_model_document(text, "var")
+        doc = check_model_document(text, "var", {
+            "p": COUNT, "det": DET_OPTIONS, "phi": [[[NUMBER, 1], 1], 1], "const": [NUMBER, 1],
+            "trend": [NUMBER, 1], "resid_cov": [[NUMBER, 1], 1], "n_obs": COUNT})
         est = cls(p=doc["p"], det=doc["det"])
         est.p_ = doc["p"]
         est.det_ = doc["det"]
@@ -156,14 +159,16 @@ class VarForecaster(BaseForecaster):
         est.phi_ = np.asarray(doc["phi"], dtype=np.float64)
         est.const_ = np.asarray(doc["const"], dtype=np.float64)
         est.trend_ = np.asarray(doc["trend"], dtype=np.float64)
-        p, N = check_positive_int(est.p_, "p"), est.n_vars_
+        est.resid_cov_ = np.asarray(doc["resid_cov"], dtype=np.float64)
+        est.n_obs_ = doc["n_obs"]
+        p, N = est.p_, est.n_vars_
         shapes = (est.phi_.shape, est.const_.shape, est.trend_.shape)
         expected = ((p, N, N), (N,), (N,))
         if shapes != expected:
             raise ValueError(f"phi, const and trend have shapes {shapes}; "
                              f"p={p} and {N} names need {expected}")
-        est.resid_cov_ = np.asarray(doc["resid_cov"], dtype=np.float64)
-        est.n_obs_ = doc["n_obs"]
+        if est.resid_cov_.shape != (N, N):
+            raise ValueError(f"resid_cov has shape {est.resid_cov_.shape}; {N} names need {(N, N)}")
         # C order, like the fitted coef_: numpy picks its matmul kernel by memory layout
         lags = est.phi_.transpose(2, 0, 1).copy().reshape(N * p, N)
         est.coef_ = np.vstack([lags, est.const_, est.trend_][: 1 + _n_det_terms(est.det_)])

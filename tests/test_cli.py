@@ -124,6 +124,15 @@ class TestConfigValidation:
          "validation_fraction"),
         (lambda c: c["models"].append({"kind": "vanar", "force_autoencoder": "yes"}),
          "force_autoencoder"),
+        (lambda c: c["models"].append({"kind": "vanar", "learning_rate": True}), "learning_rate"),
+        (lambda c: c["models"].append({"kind": "vanar", "learning_rate": float("inf")}),
+         "learning_rate"),
+        (lambda c: c["models"].append({"kind": "vanar", "validation_fraction": False}),
+         "validation_fraction"),
+        (lambda c: c["models"].append({"kind": "vanar", "force_autoencoder": 1}),
+         "force_autoencoder"),
+        (lambda c: c["models"].append({"kind": "vanar", "force_autoencoder": 0.0}),
+         "force_autoencoder"),
         (lambda c: c["models"].append({"kind": "ar", "p": 0}), "models[4]: p"),
         (lambda c: c["environment"].update(train_len=True), "environment.train_len"),
         (lambda c: c.update(seeds=[0, False]), "seeds"),
@@ -159,9 +168,10 @@ class TestConfigValidation:
          "models[0]: label 'true'"),
         (lambda c: c.update(tasks=["forecast", "forecast"]), "tasks must name each task once"),
     ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
-            "force_autoencoder", "model_p", "train_len", "seeds", "irf_horizon",
-            "irf_epsilon", "granger_test_len", "granger_horizon", "run_p", "p_max_text",
-            "p_max_zero", "run_det", "scenario_seed_float", "scenario_seed_bool",
+            "force_autoencoder", "learning_rate_bool", "learning_rate_inf", "fraction_bool",
+            "force_autoencoder_int", "force_autoencoder_float", "model_p", "train_len", "seeds",
+            "irf_horizon", "irf_epsilon", "granger_test_len", "granger_horizon", "run_p",
+            "p_max_text", "p_max_zero", "run_det", "scenario_seed_float", "scenario_seed_bool",
             "scenario_type", "environment_type", "granger_type", "irf_type", "tasks_type",
             "unknown_key", "unknown_section_key", "csv_int", "csv_null", "environment_key",
             "scenario_key", "one_step_text", "granger_rows", "output_dir", "label_path",

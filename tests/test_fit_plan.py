@@ -79,6 +79,7 @@ def test_graphs_share_a_cache(fits):
     second = causality_graph(data, "x", factory, cache=cache, **kwargs)
     assert len(fits) == n_fits == len(cache) == 6  # the pair and each variable alone, per seed
     plain = [causality_graph(data, "x", factory, **kwargs) for _ in range(2)]
+    assert len(fits) == n_fits + 2 * 6  # without a cache, each graph's edges share a new one
     assert first.edges == second.edges == plain[0].edges == plain[1].edges
 
 

@@ -102,12 +102,13 @@ class TestFromDict:
         ("weights", 0, np.zeros((3, 4))),   # transposed
         ("weights", 1, np.zeros((1, 5))),   # wider than its layer
         ("biases", 0, np.zeros(3)),
-        ("biases", 1, np.zeros(())),
+        ("biases", 1, np.zeros(())),        # a number, not a list: its rule refuses it first
     ])
     def test_shape_other_than_layer_dims_rejected(self, field, index, value):
         doc = self._doc()
         doc[field][index] = value.tolist()
-        with pytest.raises(ValueError, match="layer_dims give"):
+        message = "layer_dims give" if value.ndim else "network biases must be"
+        with pytest.raises(ValueError, match=message):
             Mlp.from_dict(doc)
 
     @pytest.mark.parametrize("field", ["weights", "biases"])

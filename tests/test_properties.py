@@ -1,7 +1,7 @@
 """Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
 rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
-rows, stacked VANAR heads, JSON round trips), the scaler inversion, the AdaGrad step, and
-mutated configs."""
+rows, stacked VANAR heads, JSON round trips), the scaler inversion, the AdaGrad step,
+mutated configs and mutated model documents."""
 
 import copy
 import functools
@@ -22,6 +22,7 @@ from vanar import (
     concat_datasets, impulse_path, impulse_response, rolling_one_step, simulate_system1,
 )
 from vanar.cli import main
+from vanar.dataset import write_csv
 from vanar.experiment import list_presets, load_preset, validate_config
 from vanar.network import ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
@@ -535,3 +536,68 @@ def test_mutated_config_is_refused_or_runs_inside_its_output_dir(case):
             assert sorted(listed) == sorted(str(p) for p in written if p.name != "manifest.json")
             # every lag order a task fits is checked on its rows before any output
             assert code == 0, stderr
+
+
+@functools.cache
+def _model_documents():
+    """Tiny fitted model documents by name, and the series they were fitted on."""
+    data = simulate_system1(n=40)
+    models = {"var": VarForecaster(p=2),
+              "vanar": VanarForecaster(p=2, hidden_dims=(4,), epochs=1),
+              "vanar-autoencoder": VanarForecaster(p=4, hidden_dims=(4,), epochs=1,
+                                                   force_autoencoder=True)}
+    return {name: json.loads(model.fit(data).to_json()) for name, model in models.items()}, data
+
+
+@st.composite
+def model_mutations(draw):
+    """(document, path, value): a node of a tiny fitted model document replaced by
+    ``value``, or one of its object keys dropped; the node's depth is drawn first, so
+    that the many weights do not crowd out the fields above them."""
+    docs, _ = _model_documents()
+    name = draw(st.sampled_from(sorted(docs)))
+    paths = list(_paths(docs[name]))[1:]
+    depth = draw(st.integers(1, max(len(p) for p in paths)))
+    path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+    drop = isinstance(_at(docs[name], path[:-1]), dict) and draw(st.integers(0, 5)) == 0
+    return name, path, DROP if drop else draw(json_values)
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+@settings(deadline=None, max_examples=200)
+@given(model_mutations())
+@example(("vanar", ("heads", 0, "layer_dims"), 5)).via("Mlp.from_dict raised TypeError")
+@example(("vanar", ("heads", 1, "activations"), 5)).via("the same for activations")
+@example(("vanar", ("heads", 0, "weights"), 5)).via("the same for weights")
+@example(("vanar", ("heads", 0, "layer_dims"), [[1]])).via("the same for nested dims")
+@example(("vanar-autoencoder", ("autoencoder",), 5)).via("Autoencoder.from_dict raised it")
+@example(("vanar-autoencoder", ("autoencoder", "encoder"), 5)).via("so did Mlp.from_dict")
+@example(("vanar", ("scaler",), 5)).via("StandardScaler.from_dict raised TypeError")
+@example(("vanar", ("p",), "4")).via("a text lag order raised TypeError")
+@example(("vanar-autoencoder", ("activated",), "no")).via('"no" was read as true')
+@example(("var", ("resid_cov",), 5)).via("a VAR with a number for resid_cov loaded")
+def test_mutated_model_document_exits_0_or_1(case):
+    name, path, value = case
+    docs, data = _model_documents()
+    doc = copy.deepcopy(docs[name])
+    parent = _at(doc, path[:-1])
+    before = parent[path[-1]]
+    if value == DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_csv(data, root / "data.csv")
+        (root / "model.json").write_text(json.dumps(doc))
+        for argv in (["forecast", "--h", "2"], ["irf", "--shock-var", "x", "--h", "3"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                codes.append(main([*argv, "--model", str(root / "model.json"),
+                                   "--data", str(root / "data.csv"), "--out", str(root / "o.csv")]))
+    assert set(codes) <= {0, 1}
+    if before is not None and (value == DROP or _kind(value) != _kind(before)):
+        assert codes == [1, 1]  # a field dropped or of another kind is refused on load

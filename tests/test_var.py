@@ -236,18 +236,20 @@ class TestSerialization:
         assert np.array_equal(fc1.values, fc2.values)
         assert np.array_equal(back.resid_cov_, model.resid_cov_)
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d.update(p=1),                        # phi holds 2 lags
-        lambda d: d.update(names=["a"]),                # phi is 2 x 2
-        lambda d: d.update(phi=d["phi"][0]),            # one matrix, not a stack
-        lambda d: d.update(trend=d["trend"][:1]),       # would broadcast over both equations
-        lambda d: d.update(const=d["const"] + [0.0]),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(p=1), "phi, const and trend have shapes"),  # phi holds 2 lags
+        (lambda d: d.update(names=["a"]), "phi, const and trend have shapes"),  # phi is 2 x 2
+        # one matrix, not a stack: its numbers sit one list too shallow
+        (lambda d: d.update(phi=d["phi"][0]), "var model phi must be a nonempty list"),
+        # would broadcast over both equations
+        (lambda d: d.update(trend=d["trend"][:1]), "phi, const and trend have shapes"),
+        (lambda d: d.update(const=d["const"] + [0.0]), "phi, const and trend have shapes"),
     ], ids=["p", "names", "phi", "trend", "const"])
-    def test_malformed_document_rejected(self, edit):
+    def test_malformed_document_rejected(self, edit, message):
         model = VarForecaster(p=2, det="constant+trend").fit(simulate_var2(150, seed=8))
         doc = json.loads(model.to_json())
         edit(doc)
-        with pytest.raises(ValueError, match="phi, const and trend have shapes"):
+        with pytest.raises(ValueError, match=message):
             VarForecaster.from_json(json.dumps(doc))
 
     def test_get_params(self):
