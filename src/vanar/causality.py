@@ -86,6 +86,9 @@ def causality_score(
         raise ValueError(f"target {target!r} cannot be among the cause variables")
     if not cause_vars:
         raise ValueError("need at least one cause variable")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if test_len >= data.n_obs:
         raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
     # one-step scoring covers the whole test block
@@ -132,6 +135,7 @@ def causality_graph(
     if data.n_vars < 2:
         raise ValueError("causality graph needs at least 2 variables")
     data.index_of(center)
+    seeds = list(seeds)  # every edge reads them all
     cache = FitCache() if cache is None else cache
     edges = [causality_score(data, source, target, model_factory, seeds, test_len, horizon,
                              one_step, cache)

@@ -28,7 +28,7 @@ from .simulate import (
     DEFAULT_X0, SCENARIO_KINDS, ScenarioSpec, TrueSystem, simulate_scenario, simulate_system1,
 )
 from .validation import (
-    COUNT, DET_OPTIONS, FLAG, INDEX, NAME, NUMBER, OBJECT, REQUIRED, SOURCE, TEXT,
+    COUNT, DET_OPTIONS, FINITE, FLAG, INDEX, NAME, OBJECT, REQUIRED, SOURCE, TEXT,
     check_hyperparameters, check_positive_int, check_table, follows,
 )
 from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
@@ -48,7 +48,7 @@ CONFIG = {
     "output_dir": ("vanar-out", TEXT),
     "granger": {"center": (None, TEXT), "test_len": (None, COUNT),
                 "horizon": (None, COUNT), "one_step": (False, FLAG)},
-    "irf": {"shock_var": (None, TEXT), "epsilon": (0.1, NUMBER), "horizon": (20, COUNT)},
+    "irf": {"shock_var": (None, TEXT), "epsilon": (0.1, FINITE), "horizon": (20, COUNT)},
 }
 
 

@@ -14,10 +14,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import COUNT, NUMBER, check_fields, check_hyperparameters
+from .validation import COUNT, FINITE, check_fields, check_hyperparameters
 
 ACTIVATIONS = ("relu", "linear")
 ADAGRAD_EPSILON = 1e-8  # added to the root of each AdaGrad accumulator before dividing
+
+
+def run_layers(h, layers, keep=None) -> np.ndarray:
+    """The one layer rule, ``h @ W + b`` then the activation, over ``layers`` of
+    (W, b, activation) with W shaped (in, out); each layer's output is appended to
+    ``keep`` when it is a list. Bias and relu act in place on the fresh product, so
+    a layer makes no temporaries and ``h`` itself is never written."""
+    for W, b, act in layers:
+        h = h @ W
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        if keep is not None:
+            keep.append(h)
+    return h
 
 
 class Mlp:
@@ -67,10 +82,9 @@ class Mlp:
         """Weights then biases, in layer order (views, not copies)."""
         return list(self.weights) + list(self.biases)
 
-    def set_parameters(self, params) -> None:
-        n = self.n_layers
-        self.weights = [np.array(p, dtype=np.float64) for p in params[:n]]
-        self.biases = [np.array(p, dtype=np.float64) for p in params[n:]]
+    def _layers(self):
+        """(W.T, b, activation) per layer, as :func:`run_layers` takes them."""
+        return zip([W.T for W in self.weights], self.biases, self.activations)
 
     def forward(self, x) -> np.ndarray:
         """Network output for a single input vector, a (batch, d) matrix or a
@@ -89,12 +103,7 @@ class Mlp:
             raise ValueError(
                 f"input has {h.shape[-1]} features, network expects {self.layer_dims[0]}"
             )
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            # bias and relu in place on the fresh product: no temporaries per layer
-            h = h @ W.T
-            h += b
-            if act == "relu":
-                np.maximum(h, 0.0, out=h)
+        h = run_layers(h, self._layers())
         return h[0] if single else h
 
     def loss_and_gradients(self, inputs, targets):
@@ -116,15 +125,8 @@ class Mlp:
                 f"({self.layer_dims[0]} -> {self.layer_dims[-1]})"
             )
 
-        # forward, keeping pre-activations for the backward pass
         acts = [X]
-        pres = []
-        h = X
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            a = h @ W.T + b
-            pres.append(a)
-            h = np.maximum(a, 0.0) if act == "relu" else a
-            acts.append(h)
+        run_layers(X, self._layers(), keep=acts)
 
         diff = acts[-1] - Y
         m = X.shape[0] * Y.shape[1]
@@ -135,7 +137,7 @@ class Mlp:
         delta = 2.0 * diff / m
         for i in range(self.n_layers - 1, -1, -1):
             if self.activations[i] == "relu":
-                delta *= pres[i] > 0
+                delta *= acts[i + 1] > 0  # relu(a) > 0 exactly where a > 0
             grad_w[i] = delta.T @ acts[i]
             grad_b[i] = delta.sum(axis=0)
             if i > 0:
@@ -151,11 +153,12 @@ class Mlp:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        """Network from :meth:`to_dict` output; ValueError unless ``d`` holds such fields
-        and every weight and bias has the shape ``layer_dims`` gives it."""
+    def from_dict(cls, d: dict, what: str = "network") -> "Mlp":
+        """Network from :meth:`to_dict` output; ValueError, naming the network ``what``,
+        unless ``d`` holds such fields and every weight and bias is finite and has the
+        shape ``layer_dims`` gives it."""
         check_fields(d, {"layer_dims": [COUNT, 2], "activations": [ACTIVATIONS, 1],
-                         "weights": [[[NUMBER, 1], 1], 1], "biases": [[NUMBER, 1], 1]}, "network")
+                         "weights": [[[FINITE, 1], 1], 1], "biases": [[FINITE, 1], 1]}, what)
         net = cls(d["layer_dims"], d["activations"])
         weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
@@ -305,6 +308,7 @@ def train(net: Mlp, inputs, targets, cfg: TrainConfig) -> tuple[Mlp, TrainResult
             result.val_losses.append(math.nan)
 
     if best_params is not None:
-        net.set_parameters(best_params)
+        n = net.n_layers
+        net.weights, net.biases = best_params[:n], best_params[n:]
         result.best_val_loss = best_val
     return net, result

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .validation import NUMBER, check_fields, check_matrix
+from .validation import FINITE, POSITIVE, check_fields, check_matrix
 
 
 def lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
@@ -102,8 +102,8 @@ class StandardScaler:
         return {"mean": self.mean_.tolist(), "scale": self.scale_.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StandardScaler":
-        check_fields(d, {"mean": [NUMBER, 1], "scale": [NUMBER, 1]}, "scaler")
+    def from_dict(cls, d: dict, what: str = "scaler") -> "StandardScaler":
+        check_fields(d, {"mean": [FINITE, 1], "scale": [POSITIVE, 1]}, what)
         sc = cls()
         sc.mean_ = np.asarray(d["mean"], dtype=np.float64)
         sc.scale_ = np.asarray(d["scale"], dtype=np.float64)

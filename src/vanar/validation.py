@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -18,6 +19,8 @@ REQUIRED = object()  # the default of a config key that must be given
 # rule None (its user checks it).
 COUNT, INDEX, FLAG, NUMBER = ("a positive integer", "a nonnegative integer", "true or false",
                               "a number")
+FINITE, POSITIVE = "a finite number", "a positive finite number"
+LARGEST = sys.float_info.max  # a larger integer has no float64, a larger float is infinite
 TEXT, OBJECT, SOURCE = "a nonempty text", "an object", '"system1" or {"csv": path}'
 NAME = "a nonempty text of letters, digits, '_', '.', '+' and '-'"
 NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")
@@ -113,14 +116,16 @@ def follows(value, rule) -> bool:
     for item in items:  # one loop, as each cold call costs more in a freshly forked process
         kind = type(item)
         if not (type(rule) is tuple and kind is str and item in rule
-                or kind is int and (rule is NUMBER or item >= 0 and rule is INDEX
-                                    or item > 0 and rule is COUNT)
+                or kind is int and (item >= 0 and rule is INDEX or item > 0 and rule is COUNT)
+                or (kind is int or kind is float) and (
+                    rule is NUMBER or rule is FINITE and abs(item) <= LARGEST
+                    or rule is POSITIVE and 0 < item <= LARGEST)
                 or kind is str and item != "" and (
                     rule is TEXT or rule is NAME and NAME_CHARS.issuperset(item)
                     or rule is SOURCE and item == "system1")
                 or kind is dict and (rule is OBJECT or rule is SOURCE and list(item) == ["csv"]
                                      and follows(item["csv"], TEXT))
-                or kind is float and rule is NUMBER or kind is bool and rule is FLAG
+                or kind is bool and rule is FLAG
                 or type(rule) is list and follows(item, rule)):
             return False
     return True

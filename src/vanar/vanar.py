@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import BaseForecaster
 from .dataset import Dataset
-from .network import Mlp, TrainConfig, train
+from .network import Mlp, TrainConfig, run_layers, train
 from .preprocessing import StandardScaler, lag_matrix
 from .validation import (
     COUNT, FLAG, NUMBER, OBJECT, check_fields, check_fitted, check_hyperparameters,
@@ -64,12 +64,14 @@ class Autoencoder:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Autoencoder":
+    def from_dict(cls, d: dict, what: str = "autoencoder") -> "Autoencoder":
+        """Autoencoder from :meth:`to_dict` output; a NaN ``reconstruction_error`` (an
+        ``epochs=0`` fit) loads."""
         check_fields(d, {"encoder": OBJECT, "decoder": OBJECT, "embedding_dim": COUNT,
-                         "reconstruction_error": NUMBER}, "autoencoder")
+                         "reconstruction_error": NUMBER}, what)
         return cls(
-            Mlp.from_dict(d["encoder"]),
-            Mlp.from_dict(d["decoder"]),
+            Mlp.from_dict(d["encoder"], f"{what} encoder"),
+            Mlp.from_dict(d["decoder"], f"{what} decoder"),
             d["embedding_dim"],
             d["reconstruction_error"],
         )
@@ -110,13 +112,9 @@ def fit_autoencoder(design_inputs, embedding_dim: int, cfg: TrainConfig) -> Auto
     stack = Mlp(dims, acts)
     stack, history = train(stack, X, X, cfg)
 
-    n_enc = 4
-    encoder = Mlp(dims[: n_enc + 1], acts[:n_enc])
-    encoder.weights = [w.copy() for w in stack.weights[:n_enc]]
-    encoder.biases = [b.copy() for b in stack.biases[:n_enc]]
-    decoder = Mlp(dims[n_enc:], acts[n_enc:])
-    decoder.weights = [w.copy() for w in stack.weights[n_enc:]]
-    decoder.biases = [b.copy() for b in stack.biases[n_enc:]]
+    encoder, decoder = Mlp(dims[:5], acts[:4]), Mlp(dims[4:], acts[4:])  # four layers each
+    encoder.weights, encoder.biases = stack.weights[:4], stack.biases[:4]
+    decoder.weights, decoder.biases = stack.weights[4:], stack.biases[4:]
 
     # the bottleneck's offset is arbitrary (the decoder can undo any shift
     # of it), so fix it at zero mean over the rows the stack was fitted on
@@ -290,11 +288,7 @@ class VanarForecaster(BaseForecaster):
         x = lags.reshape(-1, 1, lags.shape[-1])  # (B, 1, p*N)
         if self.activated_:
             x = np.concatenate([x, self.autoencoder_.encode(x)], axis=-1)
-        for W, b, act in self._stack:  # x becomes (n_heads, B, 1, out)
-            x = x @ W
-            x += b
-            if act == "relu":
-                np.maximum(x, 0.0, out=x)
+        x = run_layers(x, self._stack)  # (n_heads, B, 1, 1)
         out = np.ascontiguousarray(x.reshape(len(x), -1).T)  # (B, n_heads)
         return out.reshape(lags.shape[:-1] + (-1,))
 
@@ -321,12 +315,13 @@ class VanarForecaster(BaseForecaster):
         est.names_ = tuple(doc["names"])
         est.n_vars_ = len(est.names_)
         est.activated_ = doc["activated"]
-        est.scaler_ = StandardScaler.from_dict(doc.get("scaler"))
+        what = "vanar model"
+        est.scaler_ = StandardScaler.from_dict(doc.get("scaler"), f"{what} scaler")
         ae = doc.get("autoencoder")
-        est.autoencoder_ = None if ae is None else Autoencoder.from_dict(ae)
+        est.autoencoder_ = None if ae is None else Autoencoder.from_dict(ae, f"{what} autoencoder")
         if not follows(doc.get("heads"), [OBJECT, 1]):
             raise ValueError(f"heads must be a nonempty list of objects: {doc.get('heads')!r:.60}")
-        est.heads_ = [Mlp.from_dict(h) for h in doc["heads"]]
+        est.heads_ = [Mlp.from_dict(h, f"{what} heads[{j}]") for j, h in enumerate(doc["heads"])]
         N = est.n_vars_
         if est.scaler_.mean_.shape != (N,) or est.scaler_.scale_.shape != (N,):
             raise ValueError(f"scaler mean {est.scaler_.mean_.shape} and scale "

@@ -17,7 +17,7 @@ from .base import BaseForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
-    COUNT, DET_OPTIONS, NUMBER, check_fitted, check_hyperparameters, check_model_document,
+    COUNT, DET_OPTIONS, FINITE, check_fitted, check_hyperparameters, check_model_document,
     check_positive_int,
 )
 
@@ -149,8 +149,8 @@ class VarForecaster(BaseForecaster):
     @classmethod
     def from_json(cls, text: str) -> "VarForecaster":
         doc = check_model_document(text, "var", {
-            "p": COUNT, "det": DET_OPTIONS, "phi": [[[NUMBER, 1], 1], 1], "const": [NUMBER, 1],
-            "trend": [NUMBER, 1], "resid_cov": [[NUMBER, 1], 1], "n_obs": COUNT})
+            "p": COUNT, "det": DET_OPTIONS, "phi": [[[FINITE, 1], 1], 1], "const": [FINITE, 1],
+            "trend": [FINITE, 1], "resid_cov": [[FINITE, 1], 1], "n_obs": COUNT})
         est = cls(p=doc["p"], det=doc["det"])
         est.p_ = doc["p"]
         est.det_ = doc["det"]

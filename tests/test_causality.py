@@ -58,6 +58,10 @@ class TestScore:
         with pytest.raises(ValueError):
             causality_score(planted(100, 0), ["y"], "y", var_factory, seeds=(0,))
 
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            causality_score(planted(100, 0), ["x"], "y", var_factory, seeds=())
+
     def test_median_seed_keeps_identity(self):
         calls = []
 
@@ -103,6 +107,15 @@ class TestGraph:
         d = planted(100, 0).select(["x"])
         with pytest.raises(ValueError, match="at least 2"):
             causality_graph(d, "x", var_factory, seeds=(0,))
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            causality_graph(planted(100, 0), "x", var_factory, seeds=())
+
+    def test_seeds_may_be_an_iterator(self):
+        d = planted(100, 0)
+        graph = causality_graph(d, "x", var_factory, seeds=iter((0, 1)))
+        assert graph == causality_graph(d, "x", var_factory, seeds=(0, 1))
 
     def test_star_with_three_variables(self):
         rng = np.random.default_rng(5)

@@ -167,6 +167,8 @@ class TestConfigValidation:
         (lambda c: c.update(tasks=["irf"], models=[{"kind": "vanar", "label": "true"}]),
          "models[0]: label 'true'"),
         (lambda c: c.update(tasks=["forecast", "forecast"]), "tasks must name each task once"),
+        (lambda c: c.update(tasks=["irf"], irf={"epsilon": float("nan")}),
+         "irf.epsilon must be a finite number"),
     ], ids=["det", "epochs", "hidden_dims", "hidden_width", "learning_rate", "fraction",
             "force_autoencoder", "learning_rate_bool", "learning_rate_inf", "fraction_bool",
             "force_autoencoder_int", "force_autoencoder_float", "model_p", "train_len", "seeds",
@@ -175,7 +177,7 @@ class TestConfigValidation:
             "scenario_type", "environment_type", "granger_type", "irf_type", "tasks_type",
             "unknown_key", "unknown_section_key", "csv_int", "csv_null", "environment_key",
             "scenario_key", "one_step_text", "granger_rows", "output_dir", "label_path",
-            "label_twice", "label_true", "tasks_twice"])
+            "label_twice", "label_true", "tasks_twice", "irf_epsilon_nan"])
     def test_bad_value_is_a_validation_problem(self, edit, problem):
         cfg = fast_config()
         edit(cfg)

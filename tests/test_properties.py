@@ -1,12 +1,13 @@
 """Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
 rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
-rows, stacked VANAR heads, JSON round trips), the scaler inversion, the AdaGrad step,
-mutated configs and mutated model documents."""
+rows, stacked VANAR heads, JSON round trips), the scaler inversion, the backprop, the
+AdaGrad step, mutated configs and mutated model documents."""
 
 import copy
 import functools
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,7 +25,7 @@ from vanar import (
 from vanar.cli import main
 from vanar.dataset import write_csv
 from vanar.experiment import list_presets, load_preset, validate_config
-from vanar.network import ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
+from vanar.network import ACTIVATIONS, ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
 
@@ -352,6 +353,67 @@ def test_scaler_maps_constant_columns_to_zero(values):
     assert np.all(StandardScaler().fit(values).transform(values)[:, constant] == 0.0)
 
 
+def _reference_loss_and_gradients(net, X, Y):
+    """``Mlp.loss_and_gradients`` written with its pre-activations kept and each relu
+    mask taken from them."""
+    acts, pres, h = [X], [], X
+    for W, b, act in zip(net.weights, net.biases, net.activations):
+        a = h @ W.T + b
+        pres.append(a)
+        h = np.maximum(a, 0.0) if act == "relu" else a
+        acts.append(h)
+    diff = acts[-1] - Y
+    m = X.shape[0] * Y.shape[1]
+    loss = float((diff * diff).sum() / m)
+    grad_w, grad_b = [None] * net.n_layers, [None] * net.n_layers
+    delta = 2.0 * diff / m
+    for i in range(net.n_layers - 1, -1, -1):
+        if net.activations[i] == "relu":
+            delta *= pres[i] > 0
+        grad_w[i] = delta.T @ acts[i]
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ net.weights[i]
+    return loss, grad_w + grad_b
+
+
+# small integers and zeros put pre-activations exactly on the relu kink; NaN stays NaN
+kinked = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]) | st.floats(-5, 5) | st.just(math.nan)
+
+
+@st.composite
+def nets_and_batches(draw):
+    """A net of drawn layer widths and activations, with weights and biases drawn (zero
+    biases and zero weights among them), a dead relu layer sometimes (a bias so negative
+    that no row passes it), and a batch of inputs and targets."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    net = Mlp(dims, draw(st.lists(st.sampled_from(ACTIVATIONS), min_size=len(dims) - 1,
+                                  max_size=len(dims) - 1)))
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        net.weights[i] = draw(arrays(np.float64, W.shape, elements=kinked))
+        zero = st.just(np.zeros(b.shape))
+        net.biases[i] = draw(zero | arrays(np.float64, b.shape, elements=kinked))
+    dead = draw(st.none() | st.integers(0, net.n_layers - 1))
+    if dead is not None:
+        net.biases[dead] = np.full(net.biases[dead].shape, -1e6)
+    batch = draw(st.integers(1, 5))
+    X = draw(arrays(np.float64, (batch, dims[0]), elements=kinked))
+    Y = draw(arrays(np.float64, (batch, dims[-1]), elements=st.floats(-5, 5)))
+    return net, X, Y
+
+
+@settings(deadline=None)
+@given(nets_and_batches())
+def test_loss_and_gradients_equal_the_pre_activation_backprop(case):
+    net, X, Y = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        loss, grads = net.loss_and_gradients(X, Y)
+        expected_loss, expected = _reference_loss_and_gradients(net, X, Y)
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+    assert len(grads) == len(expected)
+    assert all(_same_bits(a, b) for a, b in zip(grads, expected))
+
+
 def _reference_step(params, accumulators, grads, learning_rate, epsilon):
     """AdaGrad written out of place, in the order the in-place step must keep."""
     for p, g, acc in zip(params, grads, accumulators):
@@ -549,6 +611,9 @@ def _model_documents():
     return {name: json.loads(model.fit(data).to_json()) for name, model in models.items()}, data
 
 
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 @st.composite
 def model_mutations(draw):
     """(document, path, value): a node of a tiny fitted model document replaced by
@@ -560,11 +625,23 @@ def model_mutations(draw):
     depth = draw(st.integers(1, max(len(p) for p in paths)))
     path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
     drop = isinstance(_at(docs[name], path[:-1]), dict) and draw(st.integers(0, 5)) == 0
-    return name, path, DROP if drop else draw(json_values)
+    return name, path, DROP if drop else draw(json_values | non_finite)
 
 
 def _kind(value):
     return "number" if type(value) in (int, float) else type(value)
+
+
+def _field(path):
+    return [key for key in path if type(key) is str][-1]
+
+
+def _refused_number(path, value):
+    """Whether ``value`` at ``path`` is a number a document must not hold: a non-finite
+    one (but a NaN reconstruction_error, which an epochs=0 fit writes) or a scale <= 0."""
+    return _kind(value) == "number" and (
+        not math.isfinite(value) and _field(path) != "reconstruction_error"
+        or _field(path) == "scale" and value <= 0)
 
 
 @settings(deadline=None, max_examples=200)
@@ -579,6 +656,19 @@ def _kind(value):
 @example(("vanar", ("p",), "4")).via("a text lag order raised TypeError")
 @example(("vanar-autoencoder", ("activated",), "no")).via('"no" was read as true')
 @example(("var", ("resid_cov",), 5)).via("a VAR with a number for resid_cov loaded")
+@example(("vanar", ("heads", 0, "weights", 0, 0, 1), math.nan)).via("loaded, named no field")
+@example(("vanar", ("heads", 1, "biases", 1, 0), math.inf)).via("the same for a head bias")
+@example(("vanar-autoencoder", ("autoencoder", "encoder", "weights", 3, 1, 0), -math.inf))
+@example(("vanar-autoencoder", ("autoencoder", "decoder", "biases", 0, 2), math.nan))
+@example(("vanar", ("scaler", "scale", 1), 0.0)).via("a zero scale loaded")
+@example(("vanar", ("scaler", "scale", 0), -2)).via("so did a negative one")
+@example(("vanar", ("scaler", "scale", 0), math.inf)).via("and an infinite one")
+@example(("vanar", ("scaler", "mean", 1), math.nan)).via("and a NaN mean")
+@example(("var", ("phi", 0, 1, 0), math.inf)).via("an infinite VAR phi loaded")
+@example(("var", ("const", 1), math.nan)).via("so did a NaN const")
+@example(("var", ("trend", 0), -math.inf)).via("and trend")
+@example(("var", ("resid_cov", 0, 1), math.nan)).via("and resid_cov")
+@example(("vanar-autoencoder", ("autoencoder", "reconstruction_error"), math.nan))
 def test_mutated_model_document_exits_0_or_1(case):
     name, path, value = case
     docs, data = _model_documents()
@@ -589,15 +679,21 @@ def test_mutated_model_document_exits_0_or_1(case):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    codes = []
+    codes, errors = [], []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write_csv(data, root / "data.csv")
         (root / "model.json").write_text(json.dumps(doc))
         for argv in (["forecast", "--h", "2"], ["irf", "--shock-var", "x", "--h", "3"]):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            errors.append(io.StringIO())
+            with redirect_stdout(io.StringIO()), redirect_stderr(errors[-1]):
                 codes.append(main([*argv, "--model", str(root / "model.json"),
                                    "--data", str(root / "data.csv"), "--out", str(root / "o.csv")]))
     assert set(codes) <= {0, 1}
     if before is not None and (value == DROP or _kind(value) != _kind(before)):
         assert codes == [1, 1]  # a field dropped or of another kind is refused on load
+    if _kind(before) == "number" and _refused_number(path, value):
+        # refused on load, with the document and the field named
+        assert codes == [1, 1]
+        assert all(f"{doc['model']} model" in e.getvalue() and _field(path) in e.getvalue()
+                   for e in errors), [e.getvalue() for e in errors]

@@ -204,6 +204,14 @@ class TestSerialization:
         fb = back.forecast(data, 6)
         assert np.array_equal(fa.values, fb.values)
 
+    def test_untrained_autoencoder_document_loads(self):
+        data = chaotic(60)
+        model = VanarForecaster(p=4, hidden_dims=(4,), epochs=0, force_autoencoder=True).fit(data)
+        text = model.to_json()
+        assert '"reconstruction_error": NaN' in text  # no epoch, no error to report
+        back = VanarForecaster.from_json(text)
+        assert np.array_equal(back.forecast(data, 3).values, model.forecast(data, 3).values)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d["scaler"]["mean"].append(0.0), "scaler mean"),
         (lambda d: d["scaler"].update(scale=[1.0]), "scaler mean"),
