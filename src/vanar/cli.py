@@ -121,8 +121,6 @@ def _add_fit_vanar(sub):
     def cmd(args):
         data = read_csv(args.data)
         opts = {k: v for k, v in vars(args).items() if k in VanarForecaster._param_names()}
-        if "hidden_dims" in opts:
-            opts["hidden_dims"] = tuple(opts["hidden_dims"])
         if "force_autoencoder" in opts:
             opts["force_autoencoder"] = opts["force_autoencoder"] == "on"
         model = VanarForecaster(**opts).fit(data)

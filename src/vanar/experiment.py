@@ -29,7 +29,7 @@ from .simulate import (
 )
 from .validation import (
     COUNT, DET_OPTIONS, FINITE, FLAG, INDEX, NAME, OBJECT, REQUIRED, SOURCE, TEXT,
-    check_hyperparameters, check_positive_int, check_table, follows,
+    argument_table, check_positive_int, check_table,
 )
 from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
@@ -56,43 +56,43 @@ CONFIG = {
 class ModelKind:
     """What the runner knows about one ``models[].kind``.
 
+    name: the kind, also an entry's default label.
     estimator: the estimator class.
     multivariate: fitted on all variables at once, else on each one alone.
     defaults: constructor arguments that differ from the class's own defaults.
-    options: the entry keys it accepts besides ``kind`` and ``label``, which are
-    the constructor's arguments except ``seed`` and ``p_max``.
+    table: an entry's ``check_table`` table: ``kind``, ``label`` and its arguments but ``seed``.
     """
 
+    name: str
     estimator: type
     multivariate: bool
     defaults: dict = field(default_factory=dict)
-    options: tuple[str, ...] = field(init=False)
-    _args: tuple[str, ...] = field(init=False, repr=False)
+    table: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        args = tuple(name for name in self.estimator._param_names() if name != "p_max")
-        object.__setattr__(self, "_args", args)
-        object.__setattr__(self, "options", tuple(name for name in args if name != "seed"))
+        args = {name: (None, COUNT) if name == "p" else rule  # null p: a rule across keys
+                for name, rule in argument_table(self.estimator).items() if name != "seed"}
+        table = {"kind": (None, None), "label": (self.name, NAME), **args}  # kind: looked up
+        object.__setattr__(self, "table", table)
 
     def build(self, entry: dict, p: int, seed: int):
-        """Unfitted estimator for a validated model entry: the entry's options over the
-        kind's defaults, the run's lag order ``p`` unless the entry sets one, and the
-        run's ``seed`` if the estimator takes one."""
+        """Unfitted estimator for a validated model entry: the entry's options (a list as a
+        tuple) over the kind's defaults, the run's lag order ``p`` unless the entry sets one,
+        and the run's ``seed`` if the estimator takes one."""
         opts = {"p": p, "seed": seed, **self.defaults, **entry}
-        if isinstance(opts.get("hidden_dims"), list):
-            opts["hidden_dims"] = tuple(opts["hidden_dims"])
-        return self.estimator(**{name: opts[name] for name in self._args if name in opts})
+        args = {name: opts[name] for name in argument_table(self.estimator) if name in opts}
+        return self.estimator(**{k: tuple(v) if type(v) is list else v for k, v in args.items()})
 
 
-MODEL_KINDS = {
-    "var": ModelKind(VarForecaster, True),
-    "ar": ModelKind(VarForecaster, False),
-    "vanar": ModelKind(VanarForecaster, True),
-    "ana": ModelKind(VanarForecaster, False),
-    "naive": ModelKind(NaiveForecaster, False),
-    "mlp-baseline": ModelKind(VanarForecaster, False,
-                              {"hidden_dims": (256,), "force_autoencoder": False}),
-}
+MODEL_KINDS = {kind.name: kind for kind in (
+    ModelKind("var", VarForecaster, True),
+    ModelKind("ar", VarForecaster, False),
+    ModelKind("vanar", VanarForecaster, True),
+    ModelKind("ana", VanarForecaster, False),
+    ModelKind("naive", NaiveForecaster, False),
+    ModelKind("mlp-baseline", VanarForecaster, False,
+              {"hidden_dims": (256,), "force_autoencoder": False}),
+)}
 
 # the bundled {kind}-{environment} grid: training rows per environment
 _PRESET_TRAIN_LEN = {"high": 850, "medium": 250, "medium350": 350, "low": 50}
@@ -130,25 +130,14 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append(f"models[{i}].kind must be one of {tuple(MODEL_KINDS)}, got {kind!r}")
             continue
         kinds.append(MODEL_KINDS[kind])
-        allowed = ("kind", "label", *MODEL_KINDS[kind].options)
-        for key in entry:
-            if key not in allowed:
-                problems.append(f"models[{i}]: unknown key {key!r} for kind {kind!r}; "
-                                f"allowed: {', '.join(allowed)}")
-        label = entry.get("label", kind)  # a report column, and a file name in granger and irf
-        if "label" in entry and not follows(label, NAME):
-            problems.append(f"models[{i}].label must be {NAME}, got {label!r}")
-        elif kinds[-1].multivariate and ("granger" in tasks or "irf" in tasks):
-            if label in labels:
+        label = check_table(kinds[-1].table, entry, f"models[{i}].", problems)["label"]
+        if kinds[-1].multivariate and ("granger" in tasks or "irf" in tasks) and (
+                label is entry.get("label", label)):  # else a refused label, reported
+            if label in labels:  # a report column, and a file name in granger and irf
                 problems.append(f"models[{i}]: label {label!r} (default: the kind) is taken")
             labels.add(label)
         if "p" in entry and entry["p"] is None:  # left out, it is the run's order
             problems.append(f"models[{i}]: p must be a positive integer, got None")
-        if len(entry) > 1 + ("label" in entry):  # it sets values: check them as fit will
-            try:
-                check_hyperparameters(entry)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"models[{i}]: {exc}")
 
     if not cfg["models"] and tasks.count("irf") != len(tasks):  # only irf runs without models
         problems.append("tasks requested but no models configured")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import COUNT, FINITE, check_fields, check_hyperparameters
+from .validation import COUNT, FINITE, check_arguments, check_fields
 
 ACTIVATIONS = ("relu", "linear")
 ADAGRAD_EPSILON = 1e-8  # added to the root of each AdaGrad accumulator before dividing
@@ -226,11 +226,15 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self):
-        check_hyperparameters(vars(self))
+        check_arguments(TrainConfig, vars(self))
 
     def validation_rows(self, n_rows: int) -> int:
-        """Size of the validation tail that :func:`train` holds out of ``n_rows``."""
-        return int(round(n_rows * self.validation_fraction))
+        """Size of the validation tail that :func:`train` holds out of ``n_rows``; ValueError
+        if training (``epochs`` > 0) would then have no row to fit."""
+        n_val = int(round(n_rows * self.validation_fraction))
+        if self.epochs and n_rows - n_val < 1:
+            raise ValueError("validation split leaves no training rows")
+        return n_val
 
 
 @dataclass
@@ -261,8 +265,6 @@ def train(net: Mlp, inputs, targets, cfg: TrainConfig) -> tuple[Mlp, TrainResult
 
     n = X.shape[0]
     n_val = cfg.validation_rows(n)
-    if n - n_val < 1:
-        raise ValueError("validation split leaves no training rows")
     X_tr, Y_tr = X[: n - n_val], Y[: n - n_val]
     X_val, Y_val = X[n - n_val :], Y[n - n_val :]
     has_val = n_val > 0

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ REQUIRED = object()  # the default of a config key that must be given
 COUNT, INDEX, FLAG, NUMBER = ("a positive integer", "a nonnegative integer", "true or false",
                               "a number")
 FINITE, POSITIVE = "a finite number", "a positive finite number"
+FRACTION = "a number in [0, 1)"
 LARGEST = sys.float_info.max  # a larger integer has no float64, a larger float is infinite
 TEXT, OBJECT, SOURCE = "a nonempty text", "an object", '"system1" or {"csv": path}'
 NAME = "a nonempty text of letters, digits, '_', '.', '+' and '-'"
@@ -77,35 +79,6 @@ def check_same_length(a, b, names: str = "series") -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def check_hyperparameters(params: dict) -> None:
-    """The rules for the models' hyperparameters and training settings, applied to
-    those in ``params`` (other names pass). ``TrainConfig`` runs them on its fields,
-    ``VanarForecaster.fit`` on its own (``VarForecaster`` on its ``det``), and
-    ``validate_config`` on the values each model entry sets."""
-    for name, value in params.items():
-        if name in ("epochs", "patience", "batch_size"):
-            least = int(name == "batch_size")
-            if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        elif name in ("p", "embedding_dim") and value is not None:
-            check_positive_int(value, name)
-        elif name == "hidden_dims":
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"hidden_dims must be a list of widths, got {value!r}")
-            for width in value:
-                check_positive_int(width, "each of hidden_dims")
-        elif name == "force_autoencoder" and value is not None and type(value) is not bool:
-            raise ValueError(f"force_autoencoder must be a bool or None, got {value!r}")
-        elif name == "validation_fraction" and (isinstance(value, bool) or not (
-                hasattr(value, "__float__") and 0 <= value < 1)):
-            raise ValueError(f"validation_fraction must be in [0, 1), got {value!r}")
-        elif name == "learning_rate" and (isinstance(value, bool) or not (
-                hasattr(value, "__float__") and 0 < value < math.inf)):
-            raise ValueError(f"learning_rate must be positive and finite, got {value!r}")
-        elif name == "det" and value not in DET_OPTIONS:
-            raise ValueError(f"det must be one of {DET_OPTIONS}, got {value!r}")
-
-
 def follows(value, rule) -> bool:
     """Whether ``value`` follows a config rule; a bool is no number."""
     items = (value,)
@@ -119,7 +92,8 @@ def follows(value, rule) -> bool:
                 or kind is int and (item >= 0 and rule is INDEX or item > 0 and rule is COUNT)
                 or (kind is int or kind is float) and (
                     rule is NUMBER or rule is FINITE and abs(item) <= LARGEST
-                    or rule is POSITIVE and 0 < item <= LARGEST)
+                    or rule is POSITIVE and 0 < item <= LARGEST
+                    or rule is FRACTION and 0 <= item < 1)
                 or kind is str and item != "" and (
                     rule is TEXT or rule is NAME and NAME_CHARS.issuperset(item)
                     or rule is SOURCE and item == "system1")
@@ -162,6 +136,37 @@ def check_table(table: dict, given: dict, name: str, problems: list) -> dict:
             value = default
         filled[key] = value
     return filled
+
+
+# Each hyperparameter's rule: model entries, TrainConfig and fit check it via argument_table.
+HYPERPARAMETERS = {
+    "p": COUNT, "det": DET_OPTIONS, "hidden_dims": [COUNT, 0], "embedding_dim": COUNT,
+    "force_autoencoder": FLAG, "epochs": INDEX, "batch_size": COUNT, "learning_rate": POSITIVE,
+    "patience": INDEX, "validation_fraction": FRACTION, "seed": INDEX,
+}
+
+
+@functools.cache
+def argument_table(func) -> dict:
+    """``check_table``'s table of ``func``'s arguments (a class: its constructor's) that
+    ``HYPERPARAMETERS`` names: (default, rule), so a None default stays ``func``'s choice."""
+    return {name: (arg.default, HYPERPARAMETERS[name])
+            for name, arg in inspect.signature(func).parameters.items() if name in HYPERPARAMETERS}
+
+
+def _plain(value):
+    """A numpy scalar as the Python value it holds, a tuple or list as a list of those."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def check_arguments(func, values: dict) -> None:
+    """ValueError naming each of ``values`` that breaks its rule in ``argument_table(func)``."""
+    table, problems = argument_table(func), []
+    check_table(table, {key: _plain(values[key]) for key in table if key in values}, "", problems)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def check_fields(doc, rules: dict, what: str) -> dict:

@@ -22,8 +22,8 @@ from .dataset import Dataset
 from .network import Mlp, TrainConfig, run_layers, train
 from .preprocessing import StandardScaler, lag_matrix
 from .validation import (
-    COUNT, FLAG, NUMBER, OBJECT, check_fields, check_fitted, check_hyperparameters,
-    check_model_document, check_positive_int, follows,
+    COUNT, FLAG, NUMBER, OBJECT, argument_table, check_arguments, check_fields, check_fitted,
+    check_model_document, follows,
 )
 from .var import P_MAX, capped_p_max, select_lag_aic
 
@@ -100,7 +100,7 @@ def fit_autoencoder(design_inputs, embedding_dim: int, cfg: TrainConfig) -> Auto
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("design_inputs must be a nonempty 2-D matrix")
     width = X.shape[1]
-    check_positive_int(embedding_dim, "embedding_dim")
+    check_arguments(fit_autoencoder, {"embedding_dim": embedding_dim})
     if embedding_dim >= width:
         raise ValueError(
             f"embedding_dim must be < input width for compression, "
@@ -197,11 +197,16 @@ class VanarForecaster(BaseForecaster):
         self.p_max = p_max
 
     def _train_config(self, seed: int) -> TrainConfig:
-        knobs = ("epochs", "batch_size", "learning_rate", "validation_fraction", "patience")
-        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in knobs})
+        knobs = {name: getattr(self, name) for name in argument_table(TrainConfig)}
+        return TrainConfig(**{**knobs, "seed": seed})
+
+    def _check_rows(self, n_obs: int, n_vars: int, p: int) -> None:
+        """The lag rule, and :func:`train`'s split of the T - p design rows the networks fit."""
+        super()._check_rows(n_obs, n_vars, p)
+        self._train_config(0).validation_rows(n_obs - p)
 
     def fit(self, data: Dataset) -> "VanarForecaster":
-        check_hyperparameters(vars(self))
+        check_arguments(VanarForecaster, vars(self))
         p = int(self.p if self.p is not None else
                 select_lag_aic(data, p_max=capped_p_max(self.p_max, data.n_obs)))
         T, N = data.values.shape

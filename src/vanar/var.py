@@ -17,7 +17,7 @@ from .base import BaseForecaster
 from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
-    COUNT, DET_OPTIONS, FINITE, check_fitted, check_hyperparameters, check_model_document,
+    COUNT, DET_OPTIONS, FINITE, check_arguments, check_fitted, check_model_document,
     check_positive_int,
 )
 
@@ -25,7 +25,7 @@ P_MAX = 15  # the largest lag order an AIC scan tries unless told otherwise
 
 
 def _n_det_terms(det: str) -> int:
-    check_hyperparameters({"det": det})
+    check_arguments(_n_det_terms, {"det": det})
     return DET_OPTIONS.index(det)
 
 
@@ -90,8 +90,8 @@ class VarForecaster(BaseForecaster):
         self.det = det
 
     def fit(self, data: Dataset) -> "VarForecaster":
-        p = check_positive_int(self.p, "p")
-        n_det = _n_det_terms(self.det)
+        check_arguments(VarForecaster, vars(self))
+        p, n_det = int(self.p), _n_det_terms(self.det)
         T, N = data.values.shape
         self._check_rows(T, N, p)
         design = _design(lag_matrix(data.values, p), self.det, np.arange(p + 1, T + 1))

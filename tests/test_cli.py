@@ -115,10 +115,14 @@ class TestConfigValidation:
         assert validate_config(cfg) == []
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda c: c["models"].append({"kind": "var", "det": "quadratic"}), "models[4]: det"),
-        (lambda c: c["models"].append({"kind": "vanar", "epochs": "ten"}), "models[4]: epochs"),
-        (lambda c: c["models"].append({"kind": "ana", "hidden_dims": 8}), "models[4]: hidden_dims"),
-        (lambda c: c["models"].append({"kind": "vanar", "hidden_dims": ["8"]}), "models[4]: each"),
+        (lambda c: c["models"].append({"kind": "var", "det": "quadratic"}),
+         "models[4].det must be one of"),
+        (lambda c: c["models"].append({"kind": "vanar", "epochs": "ten"}),
+         "models[4].epochs must be a nonnegative integer"),
+        (lambda c: c["models"].append({"kind": "ana", "hidden_dims": 8}),
+         "models[4].hidden_dims' must be a list"),
+        (lambda c: c["models"].append({"kind": "vanar", "hidden_dims": ["8"]}),
+         "models[4].hidden_dims' must be a list, each item a positive integer, got ['8']"),
         (lambda c: c["models"].append({"kind": "vanar", "learning_rate": 0}), "learning_rate"),
         (lambda c: c["models"].append({"kind": "vanar", "validation_fraction": 1}),
          "validation_fraction"),
@@ -133,7 +137,8 @@ class TestConfigValidation:
          "force_autoencoder"),
         (lambda c: c["models"].append({"kind": "vanar", "force_autoencoder": 0.0}),
          "force_autoencoder"),
-        (lambda c: c["models"].append({"kind": "ar", "p": 0}), "models[4]: p"),
+        (lambda c: c["models"].append({"kind": "ar", "p": 0}),
+         "models[4].p must be a positive integer"),
         (lambda c: c["environment"].update(train_len=True), "environment.train_len"),
         (lambda c: c.update(seeds=[0, False]), "seeds"),
         (lambda c: c.update(tasks=["irf"], irf={"horizon": "five"}), "irf.horizon"),
@@ -216,6 +221,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             run(cfg, tmp_path / "out")
         assert [p.split(":")[0] for p in exc.value.problems] == ["models[0]", "models[2]"]
+        assert not (tmp_path / "out").exists()
+
+    def test_validation_split_without_training_rows_fails_before_any_output(self, tmp_path):
+        models = [{"kind": "vanar", "hidden_dims": [4], "validation_fraction": 0.99}]
+        cfg = fast_config(environment={"train_len": 50, "test_len": 10}, p=4, models=models)
+        assert validate_config(cfg) == []  # 46 design rows, all of them in the validation tail
+        with pytest.raises(ConfigError, match="validation split leaves no training rows"):
+            run(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["var", "vanar"])
@@ -612,14 +625,16 @@ class TestCliProcess:
         assert "heads must be a nonempty list of objects" in capsys.readouterr().err
         assert not fc.exists()
 
-    @pytest.mark.parametrize("command", [["fit-var"], ["fit-vanar", "--epochs", "1"],
-                                         ["granger", "--model", "var"]],
-                             ids=["fit-var", "fit-vanar", "granger"])
-    def test_lag_order_zero_rejected(self, tmp_path, command, capsys):
+    @pytest.mark.parametrize("command, message", [
+        (["fit-var"], "p must be positive, got 0"),
+        (["fit-vanar", "--epochs", "1"], "p must be a positive integer, got 0"),
+        (["granger", "--model", "var"], "p must be positive, got 0"),
+    ], ids=["fit-var", "fit-vanar", "granger"])
+    def test_lag_order_zero_rejected(self, tmp_path, command, message, capsys):
         sim, out = tmp_path / "sim.csv", tmp_path / "out"
         assert main(["simulate", "--n", "60", "--out", str(sim)]) == 0
         assert main([*command, "--data", str(sim), "--p", "0", "--out", str(out)]) == 1
-        assert "p must be positive, got 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):

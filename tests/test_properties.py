@@ -1,7 +1,8 @@
 """Property tests of the forecast path (lag ordering, VAR recursion, true continuation,
 rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
 rows, stacked VANAR heads, JSON round trips), the scaler inversion, the backprop, the
-AdaGrad step, mutated configs and mutated model documents."""
+AdaGrad step, mutated configs, hyperparameters refused alike by a model entry and its
+estimator, and mutated model documents."""
 
 import copy
 import functools
@@ -14,6 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -24,7 +26,7 @@ from vanar import (
 )
 from vanar.cli import main
 from vanar.dataset import write_csv
-from vanar.experiment import list_presets, load_preset, validate_config
+from vanar.experiment import MODEL_KINDS, list_presets, load_preset, validate_config
 from vanar.network import ACTIVATIONS, ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
 from vanar.var import DET_OPTIONS
@@ -598,6 +600,34 @@ def test_mutated_config_is_refused_or_runs_inside_its_output_dir(case):
             assert sorted(listed) == sorted(str(p) for p in written if p.name != "manifest.json")
             # every lag order a task fits is checked on its rows before any output
             assert code == 0, stderr
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(min_value=-3), st.floats(),
+                        st.text(max_size=6), st.sampled_from(DET_OPTIONS))
+ENTRY_KEYS = [(kind, key) for kind in ("vanar", "var") for key in MODEL_KINDS[kind].table
+              if key not in ("kind", "label")]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(ENTRY_KEYS), st.one_of(json_scalars, st.lists(json_scalars, max_size=3)))
+@example(("vanar", "force_autoencoder"), None).via("a null default stays the estimator's")
+@example(("var", "p"), None).via("refused by the estimator and, across keys, by the config")
+def test_config_and_estimator_refuse_the_same_hyperparameter_values(kind_key, value):
+    kind, key = kind_key
+    problems = validate_config({"system": "system1", "environment": {"train_len": 60,
+                                "test_len": 5}, "models": [{"kind": kind, key: value}]})
+    if key == "p" and value is None:  # left out it is the run's order, so an explicit null
+        assert problems == ["models[0]: p must be a positive integer, got None"]
+        return
+    assert len(problems) <= 1, problems
+    reported = bool(problems) and problems[0].startswith(
+        (f"models[0].{key} must", f"'models[0].{key}' must"))
+    assert reported == bool(problems), problems
+    two_rows = Dataset(("x", "y"), [[0.1, 0.2], [0.3, 0.5]])  # too few: every fit raises
+    estimator = MODEL_KINDS[kind].estimator(**{key: value})
+    with pytest.raises(ValueError) as exc:
+        estimator.fit(two_rows)
+    assert str(exc.value).startswith((f"{key} must", f"'{key}' must")) == reported, exc.value
 
 
 @functools.cache

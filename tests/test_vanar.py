@@ -89,6 +89,28 @@ class TestActivationRule:
         assert a.activated_ == b.activated_
 
 
+class TestHyperparameters:
+    @pytest.mark.parametrize("seed", [1.5, True, -1], ids=["float", "bool", "negative"])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            VanarForecaster(p=2, seed=seed, **FAST).fit(chaotic(60))
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            TrainConfig(seed=seed)
+
+    def test_numpy_values_fit_as_the_python_values(self):
+        data = chaotic(60)
+        numpy = VanarForecaster(p=np.int64(2), hidden_dims=(np.int64(4), np.int64(4)),
+                                epochs=np.int64(3), learning_rate=np.float64(0.01)).fit(data)
+        python = VanarForecaster(p=2, hidden_dims=(4, 4), epochs=3, learning_rate=0.01).fit(data)
+        assert numpy.to_json() == python.to_json()
+
+    @pytest.mark.parametrize("params", [{"hidden_dims": (4, True)}, {"batch_size": True}],
+                             ids=["width", "batch_size"])
+    def test_bool_is_no_count(self, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            VanarForecaster(p=2, epochs=1, **params).fit(chaotic(60))
+
+
 class TestShapes:
     def test_head_width_invariant(self):
         model = VanarForecaster(p=5, force_autoencoder=True, embedding_dim=3, **FAST).fit(chaotic(300))
