@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .preprocessing import lag_matrix, recurse
-from .validation import check_fit_rows, check_fitted, check_positive_int
+from .validation import check_arguments, check_fit_rows, check_fitted
 
 
 class BaseForecaster:
@@ -51,15 +51,16 @@ class BaseForecaster:
             setattr(self, name, value)
         return self
 
-    def _check_history(self, history, h: int, p: int) -> None:
-        """Preconditions of ``forecast``: fitted, h > 0, and a history with
-        the fitted variables and at least ``p`` rows."""
+    def _check_history(self, histories: list[Dataset], h: int, p: int) -> None:
+        """Preconditions of ``forecast``: fitted, ``h`` a positive integer, and
+        histories with the fitted variables and at least ``p`` rows each."""
         check_fitted(self, "names_")
-        check_positive_int(h, "h")
-        if history.names != self.names_:
-            raise ValueError(f"history variables {history.names} != fitted {self.names_}")
-        if history.n_obs < p:
-            raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
+        check_arguments(BaseForecaster._check_history, {"h": h})
+        for history in histories:
+            if history.names != self.names_:
+                raise ValueError(f"history variables {history.names} != fitted {self.names_}")
+            if history.n_obs < p:
+                raise ValueError(f"insufficient history: need {p} rows, got {history.n_obs}")
 
     def clone(self) -> "BaseForecaster":
         """Unfitted copy with identical hyperparameters."""
@@ -86,8 +87,7 @@ class BaseForecaster:
     def _forecast_many(self, histories: list[Dataset], h: int) -> list[Dataset]:
         """``forecast(history, h)`` for each history, from one recursion over all of them."""
         p = self.p_
-        for history in histories:
-            self._check_history(history, h, p)
+        self._check_history(histories, h, p)
         starts = self._to_model(np.vstack([history.values[-p:] for history in histories]))
         t0 = np.array([history.n_obs + 1 for history in histories]).reshape(-1, 1, 1)
         t = t0 + np.arange(h).reshape(-1, 1, 1, 1)  # (h, B, 1, 1): step k's time indices
@@ -99,7 +99,7 @@ class BaseForecaster:
         """Each row of ``actual`` predicted from the true rows before it, in one pass
         over the lag matrix of the last p rows of ``history`` and ``actual``."""
         p, h = self.p_, actual.n_obs
-        self._check_history(history, h, p)
+        self._check_history([history], h, p)
         block = self._to_model(np.vstack([history.values[-p:], actual.values]))
         t = history.n_obs + 1 + np.arange(h).reshape(-1, 1, 1)
         out = self._predict(lag_matrix(block, p)[:, None], t)[:, 0]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .base import FitCache
 from .dataset import Dataset, split_dataset
 from .metrics import rmse
+from .validation import check_arguments
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,7 @@ def causality_score(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    check_arguments(causality_score, {"test_len": test_len, "horizon": horizon})
     if test_len >= data.n_obs:
         raise ValueError(f"test_len {test_len} leaves no training rows (T={data.n_obs})")
     # one-step scoring covers the whole test block

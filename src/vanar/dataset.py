@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import check_matrix, check_positive_int
+from .validation import check_arguments, check_matrix
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def split_dataset(data: Dataset, train_len: int, test_len: int) -> tuple[Dataset
     Row order is preserved: train covers rows 1..train_len, test covers
     rows train_len+1..train_len+test_len.
     """
-    check_positive_int(train_len, "train_len")
-    check_positive_int(test_len, "test_len")
+    check_arguments(split_dataset, {"train_len": train_len, "test_len": test_len})
     if train_len + test_len > data.n_obs:
         raise ValueError(
             f"train_len + test_len = {train_len + test_len} exceeds T = {data.n_obs}"

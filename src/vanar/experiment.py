@@ -29,7 +29,7 @@ from .simulate import (
 )
 from .validation import (
     COUNT, DET_OPTIONS, FINITE, FLAG, INDEX, NAME, OBJECT, REQUIRED, SOURCE, TEXT,
-    argument_table, check_positive_int, check_table,
+    argument_table, check_arguments, check_table,
 )
 from .var import P_MAX, NaiveForecaster, VarForecaster, capped_p_max, select_lag_aic
 from .vanar import VanarForecaster
@@ -60,7 +60,7 @@ class ModelKind:
     estimator: the estimator class.
     multivariate: fitted on all variables at once, else on each one alone.
     defaults: constructor arguments that differ from the class's own defaults.
-    table: an entry's ``check_table`` table: ``kind``, ``label`` and its arguments but ``seed``.
+    table: an entry's ``check_table`` table: ``kind``, ``label``, arguments but seed and p_max.
     """
 
     name: str
@@ -71,7 +71,8 @@ class ModelKind:
 
     def __post_init__(self):
         args = {name: (None, COUNT) if name == "p" else rule  # null p: a rule across keys
-                for name, rule in argument_table(self.estimator).items() if name != "seed"}
+                for name, rule in argument_table(self.estimator).items()
+                if name not in ("seed", "p_max")}
         table = {"kind": (None, None), "label": (self.name, NAME), **args}  # kind: looked up
         object.__setattr__(self, "table", table)
 
@@ -215,7 +216,8 @@ def resolve_p(train: Dataset, p, p_max: int, det: str = "none") -> int:
     """``p`` if given, else the AIC order of ``train`` up to ``capped_p_max(p_max, T)``: the
     lag order of ``run``, ``vanar fit-var`` and ``vanar granger``."""
     if p is not None:
-        return check_positive_int(p, "p")
+        check_arguments(resolve_p, {"p": p})
+        return int(p)
     return select_lag_aic(train, p_max=capped_p_max(p_max, train.n_obs), det=det)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .validation import check_positive_int
+from .validation import check_arguments
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def impulse_path(model, base: Dataset, shock_var: str, epsilon: float,
     With epsilon = 0 this is exactly the model's ordinary recursive
     forecast from ``base``.
     """
-    check_positive_int(horizon, "horizon")
+    check_arguments(impulse_path, {"horizon": horizon})
     shocked = shocked_history(base, shock_var, epsilon)
     path = model.forecast(shocked, horizon)
     return ImpulseSet(
@@ -74,7 +74,7 @@ def _shocked_and_unshocked(model, base: Dataset, shock_var: str, epsilon: float,
                            horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The values of ``impulse_path(model, base, shock_var, e, horizon).path`` for
     e = epsilon and e = 0, from one model call that forecasts both histories."""
-    check_positive_int(horizon, "horizon")
+    check_arguments(_shocked_and_unshocked, {"horizon": horizon})
     histories = [shocked_history(base, shock_var, e) for e in (epsilon, 0.0)]
     shocked, unshocked = model._forecast_many(histories, horizon)
     return shocked.values, unshocked.values

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import COUNT, FINITE, check_arguments, check_fields
+from .validation import ACTIVATIONS, COUNT, FINITE, check_arguments, check_fields
 
-ACTIVATIONS = ("relu", "linear")
 ADAGRAD_EPSILON = 1e-8  # added to the root of each AdaGrad accumulator before dividing
 
 
@@ -48,18 +47,14 @@ class Mlp:
     """
 
     def __init__(self, layer_dims, activations=None):
+        check_arguments(Mlp, {"layer_dims": layer_dims, "activations": activations})
         dims = [int(d) for d in layer_dims]
-        if len(dims) < 2 or any(d <= 0 for d in dims):
-            raise ValueError(f"layer_dims must be >= 2 positive sizes, got {layer_dims}")
         n_layers = len(dims) - 1
         if activations is None:
             activations = ["relu"] * (n_layers - 1) + ["linear"]
         activations = list(activations)
         if len(activations) != n_layers:
             raise ValueError(f"need {n_layers} activation tags, got {len(activations)}")
-        for a in activations:
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
         self.layer_dims = dims
         self.activations = activations
         self.weights = [np.zeros((dims[i + 1], dims[i])) for i in range(n_layers)]
@@ -182,10 +177,9 @@ class AdaGradState:
     """
 
     def __init__(self, params, learning_rate: float, epsilon: float = ADAGRAD_EPSILON):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        check_arguments(AdaGradState, {"learning_rate": learning_rate})
+        if not epsilon >= 0:  # NaN too
+            raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
         self.learning_rate = float(learning_rate)
         self.epsilon = float(epsilon)
         self.accumulators = [np.zeros_like(p) for p in params]

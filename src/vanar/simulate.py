@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import BaseForecaster
 from .dataset import Dataset
-from .validation import INDEX, check_positive_int, check_same_length, follows
+from .validation import check_arguments, check_same_length, follows
 
 DIVERGENCE_BOUND = 10.0
 
@@ -63,8 +63,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not follows(self.kind, SCENARIO_KINDS):
             raise ValueError(f"unknown scenario {self.kind!r}; choose from {SCENARIO_KINDS}")
-        if not follows(self.seed, INDEX):  # a bool is not a seed
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_arguments(ScenarioSpec, {"seed": self.seed})
 
     @property
     def noise_sd(self) -> float:
@@ -109,7 +108,7 @@ def simulate_system1(
     and ValueError("divergent trajectory") if any value leaves [-10, 10],
     which signals unusable parameters.
     """
-    check_positive_int(n, "n")
+    check_arguments(simulate_system1, {"n": n})
     x, y = _start_state(x0)
     # _step on Python floats, inlined: the same expressions in the same order
     a_x, b_x, c_x = params.a_x, params.b_x, params.c_x

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 DET_OPTIONS = ("none", "constant", "constant+trend")
+ACTIVATIONS = ("relu", "linear")
 
 REQUIRED = object()  # the default of a config key that must be given
 
@@ -40,14 +41,6 @@ def check_matrix(values, name: str = "values") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
-
-
-def check_positive_int(value, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return int(value)
 
 
 def check_fit_rows(n_obs: int, n_vars: int, p: int, det: str | None = None) -> None:
@@ -107,7 +100,8 @@ def follows(value, rule) -> bool:
 
 def describe(rule) -> str:
     if type(rule) is list:
-        return f"a {'nonempty ' if rule[1] else ''}list, each item {describe(rule[0])}"
+        size = ("a list", "a nonempty list", f"a list of at least {rule[1]} items")[min(rule[1], 2)]
+        return f"{size}, each item {describe(rule[0])}"
     return rule if type(rule) is str else f"one of {rule}"
 
 
@@ -138,20 +132,23 @@ def check_table(table: dict, given: dict, name: str, problems: list) -> dict:
     return filled
 
 
-# Each hyperparameter's rule: model entries, TrainConfig and fit check it via argument_table.
-HYPERPARAMETERS = {
+# Each public argument's rule, by name: every function taking one checks it by check_arguments,
+# and model entries read their hyperparameters' rules from it through argument_table.
+ARGUMENTS = {
     "p": COUNT, "det": DET_OPTIONS, "hidden_dims": [COUNT, 0], "embedding_dim": COUNT,
     "force_autoencoder": FLAG, "epochs": INDEX, "batch_size": COUNT, "learning_rate": POSITIVE,
-    "patience": INDEX, "validation_fraction": FRACTION, "seed": INDEX,
+    "patience": INDEX, "validation_fraction": FRACTION, "seed": INDEX, "p_max": COUNT,
+    "h": COUNT, "horizon": COUNT, "n": COUNT, "train_len": COUNT, "test_len": COUNT,
+    "layer_dims": [COUNT, 2], "activations": [ACTIVATIONS, 1],
 }
 
 
 @functools.cache
 def argument_table(func) -> dict:
     """``check_table``'s table of ``func``'s arguments (a class: its constructor's) that
-    ``HYPERPARAMETERS`` names: (default, rule), so a None default stays ``func``'s choice."""
-    return {name: (arg.default, HYPERPARAMETERS[name])
-            for name, arg in inspect.signature(func).parameters.items() if name in HYPERPARAMETERS}
+    ``ARGUMENTS`` names: (default, rule), so a None default stays ``func``'s choice."""
+    return {name: (arg.default, ARGUMENTS[name])
+            for name, arg in inspect.signature(func).parameters.items() if name in ARGUMENTS}
 
 
 def _plain(value):
@@ -162,7 +159,10 @@ def _plain(value):
 
 
 def check_arguments(func, values: dict) -> None:
-    """ValueError naming each of ``values`` that breaks its rule in ``argument_table(func)``."""
+    """ValueError naming each of ``values`` that breaks its rule in ``argument_table(func)``; the
+    table (where a default passes) is read only for a value without a passing ``ARGUMENTS`` rule."""
+    if all(follows(_plain(value), ARGUMENTS.get(key)) for key, value in values.items()):
+        return  # reading a signature costs tens of microseconds in each new process
     table, problems = argument_table(func), []
     check_table(table, {key: _plain(values[key]) for key in table if key in values}, "", problems)
     if problems:

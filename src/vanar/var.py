@@ -18,7 +18,6 @@ from .dataset import Dataset
 from .preprocessing import lag_matrix
 from .validation import (
     COUNT, DET_OPTIONS, FINITE, check_arguments, check_fitted, check_model_document,
-    check_positive_int,
 )
 
 P_MAX = 15  # the largest lag order an AIC scan tries unless told otherwise
@@ -127,7 +126,7 @@ class VarForecaster(BaseForecaster):
         return lags @ self.coef_[: self.n_vars_ * self.p_] + self.const_ + self.trend_ * t
 
     def _residuals(self, data: Dataset) -> np.ndarray:
-        self._check_history(data, 1, self.p_ + 1)  # the fitted variables, and a row after p
+        self._check_history([data], 1, self.p_ + 1)  # the fitted variables, and a row after p
         t_index = np.arange(self.p_ + 1, data.n_obs + 1)[:, None]
         return data.values[self.p_ :] - self._predict(lag_matrix(data.values, self.p_), t_index)
 
@@ -169,9 +168,13 @@ class VarForecaster(BaseForecaster):
                              f"p={p} and {N} names need {expected}")
         if est.resid_cov_.shape != (N, N):
             raise ValueError(f"resid_cov has shape {est.resid_cov_.shape}; {N} names need {(N, N)}")
+        n_det = _n_det_terms(est.det_)
+        for name in ("const", "trend")[n_det:]:  # a term det leaves out is zero, as fit sets it
+            if np.any(doc[name]):
+                raise ValueError(f"var model {name} must be all zero for det {est.det_!r}")
         # C order, like the fitted coef_: numpy picks its matmul kernel by memory layout
         lags = est.phi_.transpose(2, 0, 1).copy().reshape(N * p, N)
-        est.coef_ = np.vstack([lags, est.const_, est.trend_][: 1 + _n_det_terms(est.det_)])
+        est.coef_ = np.vstack([lags, est.const_, est.trend_][: 1 + n_det])
         return est
 
 
@@ -184,7 +187,7 @@ def select_lag_aic(data: Dataset, p_max: int, det: str = "none") -> int:
     common sample than variables (a singular residual covariance), or a
     singular design, are skipped; if every candidate fails an error is raised.
     """
-    check_positive_int(p_max, "p_max")
+    check_arguments(select_lag_aic, {"p_max": p_max})
     T, N = data.values.shape
     if p_max >= T / 2:
         raise ValueError(f"p_max = {p_max} too large for T = {T} (need p_max < T/2)")

@@ -62,6 +62,12 @@ class TestScore:
         with pytest.raises(ValueError, match="at least one seed"):
             causality_score(planted(100, 0), ["x"], "y", var_factory, seeds=())
 
+    @pytest.mark.parametrize("name", ["test_len", "horizon"])
+    def test_non_integer_length_named(self, name):
+        with pytest.raises(ValueError) as exc:
+            causality_score(planted(100, 0), ["x"], "y", var_factory, seeds=(0,), **{name: 2.5})
+        assert str(exc.value).startswith(f"{name} must be a positive integer, got 2.5")
+
     def test_median_seed_keeps_identity(self):
         calls = []
 

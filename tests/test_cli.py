@@ -625,16 +625,14 @@ class TestCliProcess:
         assert "heads must be a nonempty list of objects" in capsys.readouterr().err
         assert not fc.exists()
 
-    @pytest.mark.parametrize("command, message", [
-        (["fit-var"], "p must be positive, got 0"),
-        (["fit-vanar", "--epochs", "1"], "p must be a positive integer, got 0"),
-        (["granger", "--model", "var"], "p must be positive, got 0"),
+    @pytest.mark.parametrize("command", [
+        ["fit-var"], ["fit-vanar", "--epochs", "1"], ["granger", "--model", "var"],
     ], ids=["fit-var", "fit-vanar", "granger"])
-    def test_lag_order_zero_rejected(self, tmp_path, command, message, capsys):
+    def test_lag_order_zero_rejected(self, tmp_path, command, capsys):
         sim, out = tmp_path / "sim.csv", tmp_path / "out"
         assert main(["simulate", "--n", "60", "--out", str(sim)]) == 0
         assert main([*command, "--data", str(sim), "--p", "0", "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        assert "p must be a positive integer, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_error_exit_code(self, tmp_path):

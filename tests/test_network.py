@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ class TestForward:
         net = Mlp([3, 2])
         with pytest.raises(ValueError, match="features"):
             net.forward([1.0, 2.0])
+
+    @pytest.mark.parametrize("dims", [[2.7, 3], [True, 3]], ids=["float", "bool"])
+    def test_non_integer_size_refused(self, dims):
+        with pytest.raises(ValueError, match="'layer_dims' must be a list of at least 2 items"):
+            Mlp(dims)
+
+    @pytest.mark.parametrize("activations", [["tanh"], "linear"], ids=["unknown", "text"])
+    def test_activations_follow_their_rule(self, activations):
+        with pytest.raises(ValueError, match="'activations' must be a nonempty list, each item"):
+            Mlp([2, 1], activations)
 
     def test_positive_homogeneity_with_zero_biases(self):
         rng = np.random.default_rng(0)
@@ -142,6 +154,15 @@ class TestAdaGrad:
         assert 1.0 - after_first == pytest.approx(0.1)
         opt.step(p, [np.array([4.0])])
         assert after_first - p[0][0] == pytest.approx(0.08)
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_refused(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+            AdaGradState([np.zeros(2)], learning_rate)
+
+    def test_nan_epsilon_refused(self):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            AdaGradState([np.zeros(2)], 0.1, math.nan)
 
     def test_accumulators_nondecreasing(self):
         rng = np.random.default_rng(5)

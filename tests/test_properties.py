@@ -2,7 +2,8 @@
 rolling one-step predictions, side-by-side recursions, impulse responses, stacked network
 rows, stacked VANAR heads, JSON round trips), the scaler inversion, the backprop, the
 AdaGrad step, mutated configs, hyperparameters refused alike by a model entry and its
-estimator, and mutated model documents."""
+estimator, counting arguments refused exactly where their rule fails, and mutated model
+documents."""
 
 import copy
 import functools
@@ -22,13 +23,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from vanar import (
     Dataset, LogisticParams, NaiveForecaster, TrueSystem, VanarForecaster, VarForecaster,
-    concat_datasets, impulse_path, impulse_response, rolling_one_step, simulate_system1,
+    concat_datasets, impulse_path, impulse_response, rolling_one_step, select_lag_aic,
+    simulate_system1, split_dataset,
 )
 from vanar.cli import main
 from vanar.dataset import write_csv
 from vanar.experiment import MODEL_KINDS, list_presets, load_preset, validate_config
 from vanar.network import ACTIVATIONS, ADAGRAD_EPSILON, AdaGradState, Mlp, TrainConfig, train
 from vanar.preprocessing import StandardScaler, lag_matrix, lag_vector
+from vanar.validation import COUNT, _plain, follows
 from vanar.var import DET_OPTIONS
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -628,6 +631,37 @@ def test_config_and_estimator_refuse_the_same_hyperparameter_values(kind_key, va
     with pytest.raises(ValueError) as exc:
         estimator.fit(two_rows)
     assert str(exc.value).startswith((f"{key} must", f"'{key}' must")) == reported, exc.value
+
+
+@functools.cache
+def _count_calls():
+    """A call per counting argument of the public functions, taking that argument's value
+    (the other arguments valid): on a 41-row series and a VAR(2) fitted to it."""
+    data = simulate_system1(n=40)
+    model = VarForecaster(p=2).fit(data)
+    return {"h": lambda v: model.forecast(data, v),
+            "horizon": lambda v: impulse_response(model, data, "x", 0.1, v),
+            "n": lambda v: simulate_system1(n=v),
+            "train_len": lambda v: split_dataset(data, v, 1),
+            "test_len": lambda v: split_dataset(data, 1, v),
+            "p_max": lambda v: select_lag_aic(data, v)}
+
+
+# bounded, as ``n`` sizes a simulation; a float that is an integer is no count either
+bounded_json = st.one_of(st.none(), st.booleans(), st.integers(-3, 50), st.floats(),
+                         st.text(max_size=4), st.integers(-3, 50).map(np.int64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["h", "horizon", "n", "train_len", "test_len", "p_max"]), bounded_json)
+@example("n", np.True_).via("a numpy bool is no count")
+def test_counting_arguments_refuse_exactly_what_follows_refuses(name, value):
+    try:
+        _count_calls()[name](value)
+        refused = False
+    except ValueError as exc:  # a count too large for the series raises another message
+        refused = str(exc).startswith(f"{name} must be a positive integer, got ")
+    assert refused == (not follows(_plain(value), COUNT)), (name, value)
 
 
 @functools.cache

@@ -104,6 +104,10 @@ class TestHyperparameters:
         python = VanarForecaster(p=2, hidden_dims=(4, 4), epochs=3, learning_rate=0.01).fit(data)
         assert numpy.to_json() == python.to_json()
 
+    def test_p_max_checked_when_p_is_given(self):
+        with pytest.raises(ValueError, match="p_max must be a positive integer, got 0"):
+            VanarForecaster(p=2, p_max=0, **FAST).fit(chaotic(60))
+
     @pytest.mark.parametrize("params", [{"hidden_dims": (4, True)}, {"batch_size": True}],
                              ids=["width", "batch_size"])
     def test_bool_is_no_count(self, params):
@@ -250,9 +254,12 @@ class TestSerialization:
         (lambda d: d.update(heads=[]), "nonempty list of objects"),
         (lambda d: _narrow_hidden_layer(d["heads"][1]), "share one"),
         (lambda d: d["heads"][1].update(activations=["linear", "linear"]), "share one"),
+        (lambda d: d["heads"][1].update(layer_dims=[5]),
+         r"heads\[1\] layer_dims must be a list of at least 2 items, each item a positive"),
     ], ids=["scaler-mean", "scaler-scale", "head-missing", "head-extra", "autoencoder-missing",
             "embedding-dim", "head-bias", "head-width-p", "head-width-autoencoder", "heads-int",
-            "heads-items", "heads-empty", "head-layout-dims", "head-layout-activations"])
+            "heads-items", "heads-empty", "head-layout-dims", "head-layout-activations",
+            "head-one-size"])
     def test_malformed_document_rejected(self, edit, message):
         model = VanarForecaster(p=4, hidden_dims=(4,), epochs=2, force_autoencoder=True)
         doc = json.loads(model.fit(chaotic(60)).to_json())

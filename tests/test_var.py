@@ -220,6 +220,15 @@ class TestForecast:
         manual = x @ model.coef_[:4] + model.const_ + model.trend_ * (data.n_obs + 1)
         assert fc.values[0] == pytest.approx(manual, rel=1e-12)
 
+    @pytest.mark.parametrize("det, terms, name", [
+        ("none", {"const": [5.0, 5.0], "trend": [1.0, 1.0]}, "const"),
+        ("none", {"trend": [1.0, 0.0]}, "trend"),
+        ("constant", {"const": [5.0, 5.0], "trend": [0.0, 1.0]}, "trend"),
+    ], ids=["none-both", "none-trend", "constant-trend"])
+    def test_term_det_leaves_out_must_be_zero(self, det, terms, name):
+        with pytest.raises(ValueError, match=f"var model {name} must be all zero for det '{det}'"):
+            self._hand_model([np.zeros((2, 2)), np.zeros((2, 2))], det=det, **terms)
+
     def test_insufficient_history(self):
         model = VarForecaster(p=3).fit(simulate_var2(100, seed=0))
         with pytest.raises(ValueError, match="insufficient history"):
